@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Rewrite the golden digest corpus (tests/golden/digests.txt) from the
+# current source tree: builds hrsim_tests, then reruns the Golden
+# suite with HRSIM_GOLDEN_OUT pointing at the corpus, which makes the
+# suite write its digests instead of comparing them.
+#
+# The corpus is the regression oracle for everything a run computes
+# or traces, so a rewrite is a deliberate act: review the diff and
+# record the reason in CHANGES.md (DESIGN.md section 7). Regenerate
+# from a build with the flit-trace hooks compiled in (the default);
+# the suite refuses otherwise.
+#
+# Usage: scripts/regen_golden.sh [BUILD_DIR]   (default: build)
+set -euo pipefail
+
+src=$(cd "$(dirname "$0")/.." && pwd)
+build=${1:-$src/build}
+corpus="$src/tests/golden/digests.txt"
+
+cmake -B "$build" -S "$src" >/dev/null
+cmake --build "$build" -j "${HRSIM_JOBS:-2}" --target hrsim_tests
+mkdir -p "$(dirname "$corpus")"
+HRSIM_GOLDEN_OUT="$corpus" "$build/tests/hrsim_tests" \
+    --gtest_filter='Golden.*'
+echo "regen_golden: wrote $corpus"
+git -C "$src" diff --stat -- tests/golden || true

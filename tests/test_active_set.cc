@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "bit_identity_grid.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "sim/active_set.hh"
 #include "sim/columns.hh"
-#include "workload/trace.hh"
 
 namespace hrsim
 {
@@ -206,93 +206,8 @@ expectSameResult(const RunResult &active, const RunResult &oracle)
     }
 }
 
-SimConfig
-shortSim()
-{
-    SimConfig sim;
-    sim.warmupCycles = 800;
-    sim.batchCycles = 800;
-    sim.numBatches = 3;
-    return sim;
-}
-
-/** Network/workload grid covering every scheduler specialization:
- *  ring (hierarchical, multi-level, double-speed global ring),
- *  slotted rings, meshes, cache-line sizes, low-rate (sleep/
- *  fast-forward heavy) and saturating (always-awake) workloads. */
-std::vector<std::pair<std::string, SystemConfig>>
-bitIdentityGrid()
-{
-    std::vector<std::pair<std::string, SystemConfig>> grid;
-    const auto add = [&grid](std::string name, SystemConfig cfg) {
-        cfg.sim.idleSkip = true;
-        grid.emplace_back(std::move(name), cfg);
-    };
-
-    SystemConfig cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-    add("ring 2:4 low-C", cfg);
-
-    cfg = SystemConfig::ring("4:4", 32);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    add("ring 4:4 saturating", cfg);
-
-    cfg = SystemConfig::ring("2:2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.005;
-    cfg.globalRingSpeed = 2;
-    add("ring 2:2:4 speed-2", cfg);
-
-    cfg = SystemConfig::ring("2:4", 128);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.02;
-    add("ring 2:4 cl=128", cfg);
-
-    cfg = SystemConfig::mesh(3, 64, 4);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-    add("mesh 3 low-C", cfg);
-
-    cfg = SystemConfig::mesh(4, 32, 1);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 2;
-    add("mesh 4 1-flit buffers", cfg);
-
-    cfg = SystemConfig::ring("2:4", 32);
-    cfg.ringSlotted = true;
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.02;
-    add("slotted 2:4", cfg);
-
-    cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-    cfg.sim.metricsEvery = 500;
-    add("ring 2:4 metricsEvery=500", cfg);
-
-    cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-    cfg.sim.watchdogCycles = 50; // clamp every fast-forward jump
-    add("ring 2:4 tiny watchdog", cfg);
-
-    // Single-level rings (the Figure 6 family) idle often enough that
-    // the network is regularly quiescent exactly AT the warmup cycle;
-    // a fast-forward that jumps the boundary instead of landing on it
-    // skips startMeasurement() and dies at stopMeasurement().
-    cfg = SystemConfig::ring("4", 16);
-    cfg.sim = shortSim();
-    add("ring 4 single-level cl=16", cfg);
-
-    cfg = SystemConfig::ring("8", 16);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-    add("ring 8 single-level low-C", cfg);
-
-    return grid;
-}
+using testgrid::bitIdentityGrid;
+using testgrid::shortSim;
 
 TEST(ActiveSetScheduler, BitIdenticalToFullScanAcrossGrid)
 {
@@ -311,12 +226,7 @@ TEST(ActiveSetScheduler, BitIdenticalToFullScanAcrossGrid)
 
 TEST(ActiveSetScheduler, BitIdenticalOnTraceReplay)
 {
-    const Trace trace =
-        Trace::synthesizeUniform(8, 2500, 0.015, 0.7, 17);
-    SystemConfig cfg = SystemConfig::ring("2:4", 32);
-    cfg.trace = &trace;
-    cfg.sim = shortSim();
-
+    const SystemConfig cfg = testgrid::traceReplayConfig();
     const RunResult active = runSystem(cfg);
     RunResult oracle;
     {

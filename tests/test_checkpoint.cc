@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bit_identity_grid.hh"
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
 #include "core/sweep.hh"
@@ -118,28 +119,6 @@ checkpointGrid()
     cfg.workload.outstandingT = 2;
     add("mesh 4 buffers-4", cfg);
 
-    cfg = SystemConfig::mesh(3, 64, 0);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.02;
-    add("mesh 3 buffers-cl", cfg);
-
-    cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    cfg.faultPlan.events = {spec("ring.nic1:down@900..1400"),
-                            spec("ring.l0.iri0.lower:stall@1200..")};
-    cfg.faultPlan.retry.timeoutCycles = 400;
-    cfg.faultPlan.retry.maxRetries = 3;
-    add("ring 2:4 faulted", cfg);
-
-    cfg = SystemConfig::mesh(4, 64, 4);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    cfg.faultPlan.events = {spec("mesh.r5.east:down@900..1500")};
-    cfg.faultPlan.retry.timeoutCycles = 400;
-    cfg.faultPlan.retry.maxRetries = 3;
-    add("mesh 4 faulted", cfg);
-
     cfg = SystemConfig::ring("4:4", 64);
     cfg.sim = shortSim();
     cfg.sim.tickThreads = 4;
@@ -152,6 +131,8 @@ checkpointGrid()
     cfg.workload.missRateC = 0.02;
     add("mesh 4 tick-threads-4", cfg);
 
+    for (auto &[name, faulted] : testgrid::faultAndBufferGrid())
+        add(name, faulted);
     return grid;
 }
 
