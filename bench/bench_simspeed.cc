@@ -118,30 +118,6 @@ BM_MeshLargeLegacy(benchmark::State &state)
     runCycles(state, meshCfg(11, false));
 }
 
-/**
- * The shard-parallel tick engine (DESIGN.md section 15) on the same
- * large configs, at a fixed 4-thread pool. Compare against
- * BM_RingLarge / BM_MeshLarge for the realized intra-run speedup —
- * on a machine with fewer than 4 cores these mostly measure barrier
- * overhead under timesharing (the num_cpus context field says which
- * it was).
- */
-void
-BM_RingLargeTick4(benchmark::State &state)
-{
-    SystemConfig cfg = ringCfg("3:3:12", true);
-    cfg.sim.tickThreads = 4;
-    runCycles(state, cfg);
-}
-
-void
-BM_MeshLargeTick4(benchmark::State &state)
-{
-    SystemConfig cfg = meshCfg(11, true);
-    cfg.sim.tickThreads = 4;
-    runCycles(state, cfg);
-}
-
 /** A figure-style point list: the paper's mid-size rings and meshes
  *  with a short measurement protocol, so one benchmark iteration is
  *  one whole sweep. */
@@ -198,8 +174,6 @@ BENCHMARK(BM_RingLargeLegacy);
 BENCHMARK(BM_MeshSmall);
 BENCHMARK(BM_MeshLarge);
 BENCHMARK(BM_MeshLargeLegacy);
-BENCHMARK(BM_RingLargeTick4)->UseRealTime();
-BENCHMARK(BM_MeshLargeTick4)->UseRealTime();
 BENCHMARK(BM_SweepSerial);
 BENCHMARK(BM_SweepParallel4)->UseRealTime();
 
@@ -244,13 +218,6 @@ main(int argc, char **argv)
     benchmark::AddCustomContext(
         "hrsim_no_columnar",
         no_col != nullptr && no_col[0] != '\0' ? no_col : "0");
-    // The *Tick4 benchmarks pin their own pool width; this records
-    // the ambient request so an artifact taken under a global
-    // HRSIM_TICK_THREADS override says so.
-    const char *tick = std::getenv("HRSIM_TICK_THREADS");
-    benchmark::AddCustomContext(
-        "hrsim_tick_threads",
-        tick != nullptr && tick[0] != '\0' ? tick : "1");
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

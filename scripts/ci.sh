@@ -8,15 +8,16 @@
 #                adaptive_smoke, fault_smoke, ckpt_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
 #                tests (sweep engine, adaptive run control, active-set
-#                scheduler, fault replay under parallel sweeps, the
-#                TickPool barrier and the shard-parallel tick grid):
-#                the parallel sweep's work-claiming/result reaping and
-#                the tick engine's shard isolation must be race-free.
+#                scheduler, fault replay under parallel sweeps,
+#                checkpointed sweeps, the golden digest corpus): the
+#                parallel sweep's work-claiming/result reaping must be
+#                race-free.
 #  3. asan     — -DHRSIM_SANITIZE=address, the same test set plus the
 #                container/stats units: the hot-path ring buffers and
 #                the adaptive batch storage index with raw masks and
 #                grow under churn, exactly where AddressSanitizer
-#                pays for itself.
+#                pays for itself; the golden corpus runs every engine
+#                path of the bit-identity grid under it.
 #  4. bench    — Release build of bench_simspeed (linked against the
 #                in-tree minibench harness, so no system Debug
 #                benchmark library can distort it) plus a short
@@ -36,9 +37,9 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 # exercises threads, the adaptive controller, or raw-index storage.
 # LayoutSmoke/StablePool cover the columnar bitmap scans and the
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
-# TickPool/TickParallel cover the intra-run shard engine: the epoch
-# barrier and the frozen-FIFO shard isolation (DESIGN.md section 15).
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|TickPool|TickParallel|Checkpoint'
+# Golden replays the whole bit-identity grid (rings, meshes, faults,
+# trace replay) against its recorded digests.
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

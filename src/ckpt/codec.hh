@@ -213,8 +213,13 @@ struct CheckpointHeader
     std::uint64_t cycle = 0;
 };
 
-/** Current on-disk schema version. Bump on any layout change. */
-constexpr std::uint32_t ckptSchemaVersion = 1;
+/**
+ * Current on-disk schema version. Bump on any layout change.
+ * Version 2 dropped the parallel-tick progress counters from the ring
+ * and mesh payloads and merged each IRI's per-side wait/escape
+ * counters into one pair.
+ */
+constexpr std::uint32_t ckptSchemaVersion = 2;
 
 /**
  * Atomically write @a header + @a payload to @a path (temporary file

@@ -41,19 +41,14 @@
  * reader even though popped slots are reused physically before
  * commit().
  *
- * Counter ownership (the parallel-tick contract, DESIGN.md §15):
- * `visible` is *frozen* for the whole cycle — pops advance `head` and
- * bump `poppedThisCycle` instead of decrementing it, and commit()
- * folds both deltas back in. The consumer-side live size is
- * visible - poppedThisCycle (identical to the pre-freeze live count),
- * and the producer-side occupancy is visible + staged (identical to
- * the old visible + popped + staged sum). The point of the split:
- * during the evaluate phase every field a *producer* reads (capacity,
- * visible, tail, staged) is either frozen or written only by that
- * producer, and every field the *consumer* touches (head,
- * poppedThisCycle) is read only by the consumer — so a queue whose
- * producer and consumer sit in different tick shards needs no atomics
- * to stay race-free and bit-identical.
+ * Counter layout: `visible` holds the start-of-cycle count for the
+ * whole cycle — pops advance `head` and bump `poppedThisCycle`
+ * instead of decrementing it, and commit() folds both deltas back
+ * in. The consumer-side live size is visible - poppedThisCycle and
+ * the producer-side occupancy is visible + staged. At a tick boundary
+ * staged and poppedThisCycle are zero and visible is the element
+ * count, which is what the checkpoint encoders (ckpt/state_io.hh)
+ * save and restore.
  */
 
 #ifndef HRSIM_COMMON_STAGED_FIFO_HH

@@ -41,8 +41,6 @@
 namespace hrsim
 {
 
-class TickPool;
-
 /** Thrown when the simulation makes no forward progress. */
 class StallError : public std::runtime_error
 {
@@ -82,17 +80,14 @@ struct SimConfig
      */
     Cycle metricsEvery = 0;
     /**
-     * Worker threads for the intra-run shard-parallel tick engine
-     * (core/tick_pool.hh). 1 — the default — keeps the serial
-     * columnar tick, byte-identical to earlier releases. N > 1
-     * partitions the network into structural shards whose evaluate
-     * phases run concurrently with a deterministic commit, still
-     * bit-identical to the serial tick at any width (DESIGN.md
-     * section 15). Only engaged under the columnar active-scheduled
-     * engine; the oracle modes (HRSIM_NO_COLUMNAR,
-     * HRSIM_FORCE_FULL_SCAN) force the serial tick regardless. When
-     * composing with sweep workers, resolve the two budgets with
-     * TickPool::resolveTickThreads().
+     * Must be 1. This field once sized the intra-run shard-parallel
+     * tick engine, which is gone: every run ticks serially, and the
+     * only parallelism axis is whole sweep points (SweepOptions::jobs,
+     * hrsim_cli --jobs). The System constructor rejects any other
+     * value with a ConfigError. The field survives only because the
+     * end-to-end benchmark's traced system (bench/e2e/traced_system.cc)
+     * still reads it; the next change to that benchmark deletes the
+     * read and this field with it.
      */
     int tickThreads = 1;
     /**
@@ -373,13 +368,6 @@ class System
     /** Resolved adaptive policy (enabled() == false for fixed). */
     StopPolicy stopPolicy_;
     std::unique_ptr<Network> network_;
-    /** Shard-parallel tick pool; non-null only when
-     *  cfg_.sim.tickThreads > 1 (core/tick_pool.hh). */
-    std::unique_ptr<TickPool> tickPool_;
-    /** Did the network actually engage the parallel tick engine?
-     *  False when an oracle mode forces the serial tick even though
-     *  tickPool_ exists; gates the tick.* metrics. */
-    bool tickParallelEngaged_ = false;
     /** Non-null only when cfg_.faultPlan is non-empty. */
     std::unique_ptr<FaultController> faults_;
     RetryCounters retryCounters_;

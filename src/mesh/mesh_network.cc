@@ -1,9 +1,6 @@
 #include "mesh/mesh_network.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
-#include "core/tick_pool.hh"
 #include "obs/metric_registry.hh"
 
 namespace hrsim
@@ -136,12 +133,7 @@ MeshNetwork::tick(Cycle now)
     }
 
     if (columnar_) {
-        // A live tracer wants the serial hop-event order, so the
-        // parallel engine stands down while one is attached.
-        if (pool_ != nullptr && tracer_ == nullptr)
-            tickColumnarParallel(now);
-        else
-            tickColumnar(now);
+        tickColumnar(now);
         return;
     }
 
@@ -405,187 +397,6 @@ MeshNetwork::setFaultAccounting(FaultAccounting *acct)
     for (std::size_t id = 0; id < routers_.size(); ++id)
         routers_[id].setFaultState(acct ? &faultState_[id] : nullptr,
                                    acct);
-    // setFaultState re-aimed every router at the master ledger;
-    // restore the shard ledgers if the parallel engine is live, so
-    // setFaultAccounting and setTickParallel compose in either order.
-    applyParallelAcct();
-}
-
-void
-MeshNetwork::setTickParallel(TickPool *pool)
-{
-    // The engine only replaces the columnar active-scheduled tick
-    // (the production path); the oracle modes stay serial, as does a
-    // one-participant pool. The system calls this after setColumnar /
-    // setActiveScheduling, so both flags are settled here.
-    pool_ = (pool != nullptr && pool->threads() > 1 && columnar_ &&
-             activeSched_)
-                ? pool
-                : nullptr;
-    shards_.clear();
-    sinks_.clear();
-    util_.setShardPlanes(0);
-    if (pool_ == nullptr) {
-        // Drop any earlier shard repointing (the planes are gone).
-        for (auto &router : routers_)
-            router.refreshViews();
-        return;
-    }
-
-    // Whole-mask-word shard ranges, balanced across the pool: the
-    // evaluate and sweep phases then partition on the same 64-router
-    // boundaries, and shard order is ascending id order.
-    const std::size_t words = activeMask_.wordCount();
-    const auto parts = std::min<std::size_t>(
-        static_cast<std::size_t>(pool_->threads()), words);
-    for (std::size_t i = 0; i < parts; ++i) {
-        MeshShard sh;
-        sh.wordLo = static_cast<std::uint32_t>(words * i / parts);
-        sh.wordHi = static_cast<std::uint32_t>(words * (i + 1) / parts);
-        sh.idLo = sh.wordLo * 64;
-        sh.idHi = std::min<std::uint32_t>(
-            sh.wordHi * 64,
-            static_cast<std::uint32_t>(routers_.size()));
-        shards_.push_back(sh);
-    }
-    sinks_.resize(shards_.size());
-
-    // Per-shard utilization planes: a hop recorded inside shard s
-    // counts into s's plane; reads sum master + planes (integer
-    // order-free, so figures stay bit-identical).
-    util_.setShardPlanes(static_cast<int>(shards_.size()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        for (std::uint32_t id = shards_[s].idLo;
-             id < shards_[s].idHi; ++id) {
-            routers_[id].repointUtilCounters(&util_,
-                                             static_cast<int>(s));
-        }
-    }
-
-    applyParallelAcct();
-}
-
-void
-MeshNetwork::applyParallelAcct()
-{
-    if (acct_ == nullptr || pool_ == nullptr)
-        return;
-    for (MeshShard &sh : shards_) {
-        for (std::uint32_t id = sh.idLo; id < sh.idHi; ++id)
-            routers_[id].repointAcct(&sh.acct);
-    }
-}
-
-void
-MeshNetwork::foldShardAcct()
-{
-    if (acct_ == nullptr)
-        return;
-    // Fold the shard fault ledgers into the master so every reader
-    // outside the network tick (the fault engine's conservation
-    // check, metrics) sees serial-identical totals.
-    for (MeshShard &sh : shards_) {
-        acct_->injectedFlits += sh.acct.injectedFlits;
-        acct_->deliveredFlits += sh.acct.deliveredFlits;
-        acct_->droppedFlits += sh.acct.droppedFlits;
-        acct_->droppedWorms += sh.acct.droppedWorms;
-        acct_->poisonedWorms += sh.acct.poisonedWorms;
-        sh.acct = FaultAccounting{};
-    }
-}
-
-void
-MeshNetwork::tickColumnarParallel(Cycle now)
-{
-    // Same scheduler decisions as tickColumnar(), with the router
-    // sweeps dispatched across shard ranges. The saturation decision
-    // reads the mask size on this thread, before anything moves.
-    const bool saturated =
-        activeMask_.size() * 4 >= routers_.size() * 3;
-
-    // Evaluate dispatch. Router evaluation order is immaterial
-    // (two-phase FIFOs); within a shard ids ascend, matching the
-    // serial scan. The mask is frozen for the whole dispatch (every
-    // wake is deferred), so forEachInRange() reads start-of-tick
-    // membership — where the serial live scan would visit a
-    // mid-tick-woken router instead, that visit is a provable no-op.
-    auto eval = [this, now, saturated](int shard) {
-        const MeshShard &sh =
-            shards_[static_cast<std::size_t>(shard)];
-        tlsShardSink = &sinks_[static_cast<std::size_t>(shard)];
-        if (saturated) {
-            for (std::uint32_t id = sh.idLo; id < sh.idHi; ++id)
-                routers_[id].evaluate(now);
-        } else {
-            activeMask_.forEachInRange(
-                sh.idLo, sh.idHi,
-                [this, now](std::uint32_t id) {
-                    routers_[id].evaluate(now);
-                });
-        }
-        tlsShardSink = nullptr;
-    };
-    pool_->run(static_cast<int>(shards_.size()), eval);
-    parStats_.parallelTicks += 1;
-    parStats_.shardEvals += shards_.size();
-
-    // Replay deferred wakes — both halves, poke and mask bit —
-    // before the sleep sweep below reads either. Idempotent, so
-    // cross-shard duplicates are harmless.
-    for (const ShardSink &sink : sinks_) {
-        for (const DeferredWake &w : sink.wakes) {
-            routers_[w.id].poke();
-            w.mask->add(w.id);
-        }
-    }
-    // Drain deliveries in shard order = ascending router id = the
-    // serial delivery order (each router ejects at most one packet
-    // per cycle). tlsShardSink is null here, so delivered() runs the
-    // real handler.
-    for (ShardSink &sink : sinks_) {
-        for (const DeferredDelivery &d : sink.deliveries)
-            delivered(d.pkt, d.when);
-        sink.clear();
-    }
-
-    if (saturated && ++satTicks_ % 16 != 0) {
-        // Amortized saturated tick: commit every cursor block
-        // linearly (a clean FIFO's commit is a no-op), skip the
-        // sweep — exactly as in tickColumnar(). fifoCol_ holds six
-        // contiguous states per router, so shard ranges scale by 6.
-        auto commit = [this](int shard) {
-            const MeshShard &sh =
-                shards_[static_cast<std::size_t>(shard)];
-            const std::size_t lo =
-                static_cast<std::size_t>(sh.idLo) * 6;
-            const std::size_t hi =
-                static_cast<std::size_t>(sh.idHi) * 6;
-            for (std::size_t i = lo; i < hi; ++i)
-                fifoCol_[i].commit();
-        };
-        pool_->run(static_cast<int>(shards_.size()), commit);
-        foldShardAcct();
-        return;
-    }
-
-    // Commit + sleep sweep over the shard word ranges; the summary
-    // and population count rebuild once after the barrier.
-    auto sweep = [this](int shard) {
-        const MeshShard &sh = shards_[static_cast<std::size_t>(shard)];
-        activeMask_.retainWordRange(
-            sh.wordLo, sh.wordHi, [this](std::uint32_t id) {
-                FifoState *states =
-                    &fifoCol_[static_cast<std::size_t>(id) * 6];
-                for (int q = 0; q < 6; ++q)
-                    states[q].commit();
-                return routers_[id].sweepKeep();
-            });
-    };
-    pool_->run(static_cast<int>(shards_.size()), sweep);
-    activeMask_.rebuildAggregates();
-    if (activeMask_.empty())
-        HRSIM_ASSERT(flitsInFlight() == 0);
-    foldShardAcct();
 }
 
 void
@@ -599,8 +410,6 @@ MeshNetwork::saveState(CkptWriter &w) const
     w.boolean(!faultState_.empty());
     for (const MeshRouterFaults &faults : faultState_)
         saveMeshRouterFaults(w, faults);
-    w.u64(parStats_.parallelTicks);
-    w.u64(parStats_.shardEvals);
     // Explicit scheduler membership, from whichever structure wakes
     // target (the plane header pins columnar on both sides). The
     // ActiveSet list is saved in wake order so the re-add replays its
@@ -629,8 +438,6 @@ MeshNetwork::loadState(CkptReader &r)
     }
     for (MeshRouterFaults &faults : faultState_)
         loadMeshRouterFaults(r, faults);
-    parStats_.parallelTicks = r.u64();
-    parStats_.shardEvals = r.u64();
     const std::uint32_t members = r.u32();
     if (columnar_)
         activeMask_.reset(routers_.size());

@@ -59,12 +59,6 @@ class MeshNetwork : public Network
     bool faultTargetValid(const FaultTarget &target) const override;
     void applyFault(const FaultEvent &event, bool active) override;
     void setFaultAccounting(FaultAccounting *acct) override;
-    void setTickParallel(TickPool *pool) override;
-    TickParallelStats
-    tickParallelStats() const override
-    {
-        return parStats_;
-    }
 
     /**
      * Checkpoint hooks (tick boundary). Unlike the ring's, mesh
@@ -145,44 +139,6 @@ class MeshNetwork : public Network
      * (i.e. only when a fault plan is active). */
     std::vector<MeshRouterFaults> faultState_;
     FaultAccounting *acct_ = nullptr;
-
-    // ---- Parallel tick engine state (setTickParallel) ----
-
-    /**
-     * One evaluate shard = one 64-aligned contiguous router-id range
-     * (whole mask words, so the sleep sweep can partition on the
-     * same boundaries). Router evaluation order is immaterial on the
-     * mesh (two-phase FIFOs), and every cross-router effect is
-     * either SPSC-safe under the frozen FIFO counters or deferred
-     * through the shard sink; see DESIGN.md section 15.
-     */
-    struct MeshShard
-    {
-        std::uint32_t wordLo = 0; //!< first mask word
-        std::uint32_t wordHi = 0; //!< one past the last mask word
-        std::uint32_t idLo = 0;   //!< wordLo * 64
-        std::uint32_t idHi = 0;   //!< min(wordHi * 64, P)
-        /** Shard fault ledger, folded into acct_ at end of tick. */
-        FaultAccounting acct{};
-    };
-
-    /** Shard-parallel columnar tick, bit-identical to tickColumnar()
-     *  at any pool width (DESIGN.md section 15). */
-    void tickColumnarParallel(Cycle now);
-
-    /** Point every router's fault-ledger pointer at its shard's
-     *  ledger (no-op without an active ledger). */
-    void applyParallelAcct();
-
-    /** Fold the shard fault ledgers into the master ledger. */
-    void foldShardAcct();
-
-    TickPool *pool_ = nullptr;
-    /** Ascending id ranges, so draining the sinks in shard order
-     *  reproduces the serial ascending-router-id delivery order. */
-    std::vector<MeshShard> shards_;
-    std::vector<ShardSink> sinks_; //!< one per shard
-    TickParallelStats parStats_;
 };
 
 } // namespace hrsim

@@ -107,7 +107,6 @@ makeManifest(const SystemConfig &cfg, unsigned jobs,
     manifest.configHash = hash;
     manifest.seed = cfg.sim.seed;
     manifest.jobs = jobs;
-    manifest.tickThreads = cfg.sim.tickThreads;
     manifest.fastPath = fastPathEnabled();
     manifest.columnar = columnarEnabled();
     manifest.restoredFrom = cfg.ckpt.restorePath;

@@ -41,13 +41,6 @@ struct RunManifest
 
     std::uint64_t seed = 0;
     unsigned jobs = 1; //!< sweep workers (1 for single-point runs)
-    /**
-     * Intra-run parallel-tick threads (SimConfig::tickThreads).
-     * Provenance, not identity, exactly like jobs: any width
-     * produces bit-identical metric sections, so the value lives
-     * outside configKey() next to the other speed knobs.
-     */
-    int tickThreads = 1;
 
     /**
      * Worm-streaming fast path on for this run? Provenance, not

@@ -54,7 +54,6 @@ writeManifestJson(std::ostream &out, const RunManifest &manifest)
     out << "    \"config_hash\": \"" << manifest.configHash << "\",\n";
     out << "    \"seed\": " << manifest.seed << ",\n";
     out << "    \"jobs\": " << manifest.jobs << ",\n";
-    out << "    \"tick_threads\": " << manifest.tickThreads << ",\n";
     out << "    \"fast_path\": "
         << (manifest.fastPath ? "true" : "false") << ",\n";
     out << "    \"columnar\": "
@@ -175,7 +174,6 @@ writeMetricsCsv(std::ostream &out, const RunManifest &manifest,
     out << "# config_hash=" << manifest.configHash << '\n';
     out << "# seed=" << manifest.seed << '\n';
     out << "# jobs=" << manifest.jobs << '\n';
-    out << "# tick_threads=" << manifest.tickThreads << '\n';
     out << "# fast_path=" << (manifest.fastPath ? 1 : 0) << '\n';
     out << "# columnar=" << (manifest.columnar ? 1 : 0) << '\n';
     if (!manifest.restoredFrom.empty())

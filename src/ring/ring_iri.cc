@@ -70,13 +70,13 @@ RingIri::routeLower(const Flit &flit, bool count_wait)
         lowerWait_ = WaitState{flit.packet, 0};
     if (count_wait) {
         ++lowerWait_.cycles;
-        ++waitCyclesLower_;
+        ++waitCycles_;
     }
     if (lowerWait_.cycles > waitLimit_) {
         lowerMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
         lowerWait_ = WaitState{};
         lowerEscaped_ = flit.packet;
-        ++escapesLower_;
+        ++escapes_;
         return WormRoute::Continue;
     }
     return WormRoute::Wait;
@@ -108,13 +108,13 @@ RingIri::routeUpper(const Flit &flit, bool count_wait)
         upperWait_ = WaitState{flit.packet, 0};
     if (count_wait) {
         ++upperWait_.cycles;
-        ++waitCyclesUpper_;
+        ++waitCycles_;
     }
     if (upperWait_.cycles > waitLimit_) {
         upperMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
         upperWait_ = WaitState{};
         upperEscaped_ = flit.packet;
-        ++escapesUpper_;
+        ++escapes_;
         return WormRoute::Continue;
     }
     return WormRoute::Wait;

@@ -84,12 +84,6 @@ class RingNetwork : public Network
     bool faultTargetValid(const FaultTarget &target) const override;
     void applyFault(const FaultEvent &event, bool active) override;
     void setFaultAccounting(FaultAccounting *acct) override;
-    void setTickParallel(TickPool *pool) override;
-    TickParallelStats
-    tickParallelStats() const override
-    {
-        return parStats_;
-    }
 
     /**
      * Checkpoint hooks (tick boundary). The snapshot carries only
@@ -140,21 +134,6 @@ class RingNetwork : public Network
 
     /** Columnar tick: bitmap masks over hoisted hot columns. */
     void tickColumnar(Cycle now);
-
-    /**
-     * Shard-parallel columnar tick (DESIGN.md section 15): one shard
-     * per ring, evaluate dispatched through the TickPool, cross-shard
-     * effects deferred and drained at the barrier, commits and sleep
-     * sweeps partitioned over mask word ranges. Bit-identical to
-     * tickColumnar() at any pool width.
-     */
-    void tickColumnarParallel(Cycle now);
-
-    /** Fused phase A + phase B of one ring's components. */
-    void evaluateShard(Cycle now, int shard);
-
-    /** One commit-phase partition (NIC ranges first, then IRI). */
-    void commitShard(int shard);
 
     /** Wake a component in whichever scheduler structure is live. */
     void
@@ -225,53 +204,6 @@ class RingNetwork : public Network
      * sides at [P + 2i] / [P + 2i + 1]. */
     std::vector<RingSideFaults> sideFaults_;
     FaultAccounting *acct_ = nullptr;
-
-    // ---- Parallel tick engine state (setTickParallel) ----
-
-    /**
-     * One evaluate shard = one ring: every phase-B interaction that
-     * is not deferred (occupancy gates, latch staging, acceptance
-     * flags) stays inside a single ring, so rings evaluate
-     * independently; within a ring the serial engine's per-category
-     * ascending-id order is preserved exactly.
-     */
-    struct RingShard
-    {
-        std::uint32_t ring = 0;
-        /** Contiguous NIC id range on this ring (empty unless leaf). */
-        std::uint32_t nicLo = 0;
-        std::uint32_t nicHi = 0;
-        /** IRIs whose lower side sits on this ring (ascending). */
-        std::vector<std::uint32_t> lowerIris;
-        /** IRIs whose slow upper side sits on this ring (ascending). */
-        std::vector<std::uint32_t> upperIris;
-        /** Shard fault ledger, folded into acct_ at end of tick. */
-        FaultAccounting acct{};
-    };
-
-    /** Balanced word range of a mask, one commit-phase partition. */
-    struct WordRange
-    {
-        std::uint32_t lo = 0;
-        std::uint32_t hi = 0;
-    };
-
-    /** Point every component's fault-ledger pointer at its shard's
-     *  ledger (no-op without an active ledger). */
-    void applyParallelAcct();
-
-    /** Fold the shard fault ledgers into the master ledger. */
-    void foldShardAcct();
-
-    TickPool *pool_ = nullptr;
-    /** Shards ordered by subtree start, so draining deliveries in
-     *  shard order reproduces the serial ascending-NIC-id delivery
-     *  sequence. */
-    std::vector<RingShard> shards_;
-    std::vector<ShardSink> sinks_; //!< one per shard
-    std::vector<WordRange> nicCommitRanges_;
-    std::vector<WordRange> iriCommitRanges_;
-    TickParallelStats parStats_;
 };
 
 } // namespace hrsim

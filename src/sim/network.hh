@@ -24,27 +24,15 @@
 #include "common/types.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
-#include "sim/parallel.hh"
 #include "stats/utilization.hh"
 
 namespace hrsim
 {
 
 class MetricRegistry;
-class TickPool;
 struct FaultAccounting;
 struct FaultEvent;
 struct FaultTarget;
-
-/** Progress counters of the parallel tick engine (zero when the
- *  network ticks serially; see registerSystemMetrics gating). */
-struct TickParallelStats
-{
-    /** Ticks that actually dispatched shards to the pool. */
-    std::uint64_t parallelTicks = 0;
-    /** Total shard evaluate callbacks executed across those ticks. */
-    std::uint64_t shardEvals = 0;
-};
 
 class Network : public Checkpointable
 {
@@ -173,22 +161,6 @@ class Network : public Checkpointable
         (void)acct;
     }
 
-    /**
-     * Attach the shared shard-parallel tick pool. Networks that
-     * implement a parallel columnar tick (ring, mesh) partition
-     * themselves into structural shards and dispatch their evaluate
-     * phases through @a pool; everyone else ignores the call and
-     * keeps ticking serially. Results are bit-identical at any pool
-     * width (DESIGN.md section 15). Must be called after
-     * setColumnar()/setActiveScheduling() — the shard decomposition
-     * is built over the columnar structures. Passing nullptr (or a
-     * one-participant pool) restores the serial tick.
-     */
-    virtual void setTickParallel(TickPool *pool) { (void)pool; }
-
-    /** Parallel-tick progress counters (all-zero for serial ticks). */
-    virtual TickParallelStats tickParallelStats() const { return {}; }
-
     /** Attach (or detach, with nullptr) the flit event tracer. */
     void setTracer(FlitTracer *tracer) { tracer_ = tracer; }
     FlitTracer *tracer() const { return tracer_; }
@@ -219,17 +191,10 @@ class Network : public Checkpointable
     }
 
   protected:
-    /** Deliver @a pkt to the attached PM at cycle @a now. During a
-     *  parallel evaluate phase the delivery is deferred into the
-     *  executing shard's sink and replayed here, in the serial
-     *  engine's delivery order, at the phase barrier. */
+    /** Deliver @a pkt to the attached PM at cycle @a now. */
     void
     delivered(const Packet &pkt, Cycle now) const
     {
-        if (ShardSink *sink = tlsShardSink) {
-            sink->deliveries.push_back(DeferredDelivery{pkt, now});
-            return;
-        }
         if (deliver_)
             deliver_(pkt, now);
         HRSIM_TRACE_FLIT(tracer_, FlitEvent::Eject, pkt.id, pkt.dst,

@@ -86,28 +86,6 @@ class UtilizationTracker
         return &groupTransfers_[linkGroup_[link]];
     }
 
-    /**
-     * Allocate @a shards per-shard counter planes for the parallel
-     * tick engine (0 drops them). The master counters stay the
-     * serial-path target; a link driver evaluated inside shard s
-     * increments that shard's plane instead (shardTransferCounter),
-     * and every read-side aggregate sums master + planes. Integer
-     * sums are order-free, so utilization figures are bit-identical
-     * to the serial engine at any shard count.
-     */
-    void setShardPlanes(int shards);
-
-    /** Plane counter of @a link for shard @a shard; same caching
-     *  contract as transferCounter(). */
-    std::uint64_t *
-    shardTransferCounter(int shard, LinkId link)
-    {
-        HRSIM_ASSERT(link < linkGroup_.size());
-        HRSIM_ASSERT(static_cast<std::size_t>(shard) < planes_.size());
-        return &planes_[static_cast<std::size_t>(shard)]
-                       [linkGroup_[link]];
-    }
-
     /** Start the measurement window at cycle @a now. */
     void startMeasurement(Cycle now);
 
@@ -139,10 +117,9 @@ class UtilizationTracker
     }
 
     /**
-     * Checkpoint hooks. Counters are saved with shard planes folded
-     * into the master totals and loaded into the master plane in
-     * place — never reallocated, because link drivers cache stable
-     * pointers into the counter vectors (see transferCounter()).
+     * Checkpoint hooks. Counters are loaded in place — never
+     * reallocated, because link outputs cache stable pointers into
+     * the counter vector (see transferCounter()).
      */
     void saveState(CkptWriter &w) const;
     void loadState(CkptReader &r);
@@ -152,16 +129,10 @@ class UtilizationTracker
     Cycle windowStart_ = 0;
     Cycle windowCycles_ = 0;
 
-    /** Master + shard-plane transfers of one group. */
-    std::uint64_t groupTransfersTotal(GroupId group) const;
-
     std::vector<std::string> groupNames_;
     // Aggregate flits/cycle capacity of all links in each group.
     std::vector<std::uint64_t> groupCapacity_;
     std::vector<std::uint64_t> groupTransfers_;
-    /** Per-shard counter planes (parallel tick; usually empty). Each
-     *  plane is its own allocation, so shards never share lines. */
-    std::vector<std::vector<std::uint64_t>> planes_;
 
     std::vector<GroupId> linkGroup_;
     std::vector<std::uint32_t> linkSpeed_;

@@ -6,7 +6,7 @@
  * and restoring a snapshot into a fresh System then running to cycle
  * Y produces results byte-identical to an uninterrupted run reaching
  * Y — across ring and mesh topologies, buffer depths, double-speed
- * global rings, fault plans, parallel ticks, and every oracle plane
+ * global rings, fault plans, and every oracle plane
  * (full scan / no-columnar / no-fastpath). Plus the refusal paths:
  * config-key, build-plane, fault-plane and topology mismatches must
  * throw CheckpointError naming the disagreement, never restore
@@ -56,29 +56,13 @@ class TempCkpt
     std::string path_;
 };
 
-SimConfig
-shortSim()
-{
-    SimConfig sim;
-    sim.warmupCycles = 800;
-    sim.batchCycles = 800;
-    sim.numBatches = 3;
-    return sim;
-}
-
-FaultEvent
-spec(const std::string &text)
-{
-    FaultEvent event;
-    std::string err;
-    EXPECT_TRUE(parseFaultSpec(text, event, err)) << err;
-    return event;
-}
+using testgrid::faultSpec;
+using testgrid::shortSim;
 
 /**
  * The acceptance grid: rings including single-level and a
- * double-speed root, meshes at 1 / 4 / cl-sized buffers, a faulted
- * config, and a parallel-tick config.
+ * double-speed root, meshes at 1 / 4 / cl-sized buffers, and a
+ * faulted config per network kind.
  */
 std::vector<std::pair<std::string, SystemConfig>>
 checkpointGrid()
@@ -118,18 +102,6 @@ checkpointGrid()
     cfg.sim = shortSim();
     cfg.workload.outstandingT = 2;
     add("mesh 4 buffers-4", cfg);
-
-    cfg = SystemConfig::ring("4:4", 64);
-    cfg.sim = shortSim();
-    cfg.sim.tickThreads = 4;
-    cfg.workload.outstandingT = 4;
-    add("ring 4:4 tick-threads-4", cfg);
-
-    cfg = SystemConfig::mesh(4, 64, 4);
-    cfg.sim = shortSim();
-    cfg.sim.tickThreads = 4;
-    cfg.workload.missRateC = 0.02;
-    add("mesh 4 tick-threads-4", cfg);
 
     for (auto &[name, faulted] : testgrid::faultAndBufferGrid())
         add(name, faulted);
@@ -484,7 +456,7 @@ TEST(CheckpointMismatch, FaultPlaneMismatchRefused)
     // so the key check already refuses; this asserts the refusal is a
     // CheckpointError, not a restore of mismatched depth counters.
     SystemConfig faulted = cfg;
-    faulted.faultPlan.events = {spec("ring.nic1:down@900..1400")};
+    faulted.faultPlan.events = {faultSpec("ring.nic1:down@900..1400")};
     faulted.ckpt.restorePath = file.path();
     System restored(faulted);
     EXPECT_THROW(restored.run(), CheckpointError);
@@ -530,6 +502,50 @@ TEST(CheckpointMismatch, CorruptFileRefused)
     restore_cfg.ckpt.restorePath = file.path();
     System restored(restore_cfg);
     EXPECT_THROW(restored.run(), CheckpointError);
+}
+
+TEST(CheckpointMismatch, OlderSchemaVersionRefusedNamingBoth)
+{
+    SystemConfig cfg = SystemConfig::ring("2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 4;
+
+    TempCkpt file("old_schema");
+    SystemConfig donor_cfg = cfg;
+    donor_cfg.ckpt.savePath = file.path();
+    donor_cfg.ckpt.saveAt = 1000;
+    donor_cfg.ckpt.stopAfterSave = true;
+    System donor(donor_cfg);
+    donor.run();
+
+    // Rewrite the little-endian u32 version that follows the 8-byte
+    // magic to 1, the layout before this build's. The header is not
+    // covered by the payload hash, so only the version gate (which
+    // runs before the hash check) can refuse the file.
+    ASSERT_GT(ckptSchemaVersion, 1u);
+    {
+        std::FILE *f = std::fopen(file.path().c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+        const unsigned char old_version[4] = {1, 0, 0, 0};
+        ASSERT_EQ(std::fwrite(old_version, 1, 4, f), 4u);
+        std::fclose(f);
+    }
+    SystemConfig restore_cfg = cfg;
+    restore_cfg.ckpt.restorePath = file.path();
+    System restored(restore_cfg);
+    try {
+        restored.run();
+        FAIL() << "an older schema version must throw";
+    } catch (const CheckpointError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("schema version 1 "), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("version " +
+                            std::to_string(ckptSchemaVersion)),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -30,6 +30,25 @@ TEST(SystemConfig, ProcessorCounts)
     EXPECT_EQ(SystemConfig::mesh(5, 32, 4).numProcessors(), 25);
 }
 
+TEST(SystemConfig, TickThreadsOtherThanOneRejected)
+{
+    for (const int threads : {0, 2, 4}) {
+        SystemConfig cfg = SystemConfig::ring("2:4", 32);
+        cfg.sim.tickThreads = threads;
+        try {
+            System system(cfg);
+            FAIL() << "tickThreads = " << threads << " must throw";
+        } catch (const ConfigError &err) {
+            EXPECT_NE(std::string(err.what()).find("tickThreads"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    SystemConfig serial = SystemConfig::mesh(2, 32, 4);
+    serial.sim.tickThreads = 1;
+    EXPECT_NO_THROW(System system(serial));
+}
+
 TEST(System, RequestResponseConservation)
 {
     SystemConfig cfg = SystemConfig::ring("2:4", 32);

@@ -22,14 +22,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ckpt/codec.hh"
 #include "common/log.hh"
 #include "core/analysis.hh"
 #include "core/sweep.hh"
-#include "core/tick_pool.hh"
 #include "core/system.hh"
 #include "obs/flit_trace.hh"
 #include "obs/manifest.hh"
@@ -107,15 +105,6 @@ usage(const char *argv0)
         "                    bit-identical output; only meaningful\n"
         "                    with --sweep)\n"
         "  --list-sweep      print the sweep's points and exit\n"
-        "\n"
-        "intra-run parallelism (see DESIGN.md section 15):\n"
-        "  --tick-threads N  shard the network tick across N worker\n"
-        "                    threads (default 1 = serial; any N is\n"
-        "                    bit-identical to 1; also settable via\n"
-        "                    the HRSIM_TICK_THREADS environment\n"
-        "                    variable, the flag winning; composes\n"
-        "                    with --jobs: jobs x tick-threads is\n"
-        "                    capped at the machine's core count)\n"
         "\n"
         "checkpoint/restore (see DESIGN.md section 16):\n"
         "  --save-to FILE    write deterministic snapshots of the\n"
@@ -263,8 +252,6 @@ main(int argc, char **argv)
     bool list_sweep = false;
     unsigned jobs = 1;
     bool jobs_given = false;
-    int tick_threads = 1;
-    bool tick_threads_given = false;
     std::string metrics_out;
     std::string metrics_format = "json";
     bool metrics_format_given = false;
@@ -420,18 +407,6 @@ main(int argc, char **argv)
                     fatal("--jobs needs a worker count >= 1");
                 jobs = static_cast<unsigned>(n);
                 jobs_given = true;
-            } else if (!std::strcmp(arg, "--tick-threads")) {
-                const long n = argLong(argc, argv, i);
-                if (n < 1) {
-                    std::fprintf(stderr,
-                                 "warning: --tick-threads needs a "
-                                 "thread count >= 1; using the "
-                                 "serial tick\n");
-                    tick_threads = 1;
-                } else {
-                    tick_threads = static_cast<int>(n);
-                }
-                tick_threads_given = true;
             } else if (!std::strcmp(arg, "--help") ||
                        !std::strcmp(arg, "-h")) {
                 usage(argv[0]);
@@ -527,49 +502,6 @@ main(int argc, char **argv)
                          "layout and the manifest will record "
                          "columnar=false\n");
         }
-        // Parallel-tick width: the flag wins over the
-        // HRSIM_TICK_THREADS environment variable; malformed or
-        // non-positive env values fall back to the serial tick with
-        // a warning (never a fatal — the env may be set globally).
-        if (!tick_threads_given) {
-            const char *env = std::getenv("HRSIM_TICK_THREADS");
-            if (env != nullptr && env[0] != '\0') {
-                char *end = nullptr;
-                const long n = std::strtol(env, &end, 10);
-                if (end == env || *end != '\0' || n < 1) {
-                    std::fprintf(stderr,
-                                 "warning: ignoring malformed "
-                                 "HRSIM_TICK_THREADS value \"%s\"; "
-                                 "using the serial tick\n",
-                                 env);
-                } else {
-                    tick_threads = static_cast<int>(n);
-                }
-            }
-        }
-        const unsigned hw = std::thread::hardware_concurrency();
-        if (hw != 0 && tick_threads > static_cast<long>(hw)) {
-            std::fprintf(stderr,
-                         "warning: --tick-threads %d exceeds this "
-                         "machine's %u hardware threads; capping\n",
-                         tick_threads, hw);
-        }
-        if (tick_threads > 1 && cfg.ringSlotted) {
-            std::fprintf(stderr,
-                         "warning: the slotted ring has no parallel "
-                         "tick engine; --tick-threads is ignored\n");
-        }
-        const char *force_scan = std::getenv("HRSIM_FORCE_FULL_SCAN");
-        const bool full_scan = force_scan != nullptr &&
-                               force_scan[0] != '\0' &&
-                               !(force_scan[0] == '0' &&
-                                 force_scan[1] == '\0');
-        if (tick_threads > 1 && (!columnarEnabled() || full_scan)) {
-            std::fprintf(stderr,
-                         "warning: an oracle mode (HRSIM_NO_COLUMNAR "
-                         "/ HRSIM_FORCE_FULL_SCAN) forces the serial "
-                         "tick; --tick-threads is ignored\n");
-        }
         if (!sweep_kind.empty() || list_sweep) {
             if (sweep_kind.empty())
                 sweep_kind = "both";
@@ -597,18 +529,6 @@ main(int argc, char **argv)
             // point by the runner).
             const Cycle journal_every = cfg.ckpt.saveEvery;
             cfg.ckpt = {};
-            // Sweep workers and tick pools draw on one core budget:
-            // cap the per-run width so jobs x tick-threads never
-            // oversubscribes the machine.
-            cfg.sim.tickThreads =
-                TickPool::resolveTickThreads(tick_threads, jobs);
-            if (cfg.sim.tickThreads < tick_threads) {
-                std::fprintf(stderr,
-                             "note: capping --tick-threads to %d so "
-                             "%u sweep jobs x tick threads fit the "
-                             "machine\n",
-                             cfg.sim.tickThreads, jobs);
-            }
             std::vector<SystemConfig> points;
             std::vector<std::string> labels;
             buildSweep(cfg, sweep_kind, points, labels);
@@ -742,9 +662,6 @@ main(int argc, char **argv)
                          "warning: --jobs only applies to --sweep "
                          "mode; running the single point serially\n");
         }
-        // Single point: the whole machine is this run's budget.
-        cfg.sim.tickThreads =
-            TickPool::resolveTickThreads(tick_threads, 1);
 
         System system(cfg);
         std::ofstream trace_stream;
