@@ -4,11 +4,8 @@
  * (simulated node-cycles per wall-second) for representative ring and
  * mesh configurations.
  *
- * Each topology is measured twice: the Legacy variants force the
- * every-cycle tick loop (sim.idleSkip = false), the Fast variants use
- * the skip-idle scheduler, so the speedup of the hot-path work is
- * measured, not asserted. BM_Sweep* measure the parallel sweep engine
- * end to end (wall-clock per whole figure-style sweep).
+ * BM_Sweep* measure the parallel sweep engine end to end (wall-clock
+ * per whole figure-style sweep).
  */
 
 #include <benchmark/benchmark.h>
@@ -27,20 +24,18 @@ namespace
 using namespace hrsim;
 
 SystemConfig
-ringCfg(const char *topo, bool idle_skip)
+ringCfg(const char *topo)
 {
     SystemConfig cfg = SystemConfig::ring(topo, 64);
     cfg.workload.outstandingT = 4;
-    cfg.sim.idleSkip = idle_skip;
     return cfg;
 }
 
 SystemConfig
-meshCfg(int width, bool idle_skip)
+meshCfg(int width)
 {
     SystemConfig cfg = SystemConfig::mesh(width, 64, 4);
     cfg.workload.outstandingT = 4;
-    cfg.sim.idleSkip = idle_skip;
     return cfg;
 }
 
@@ -63,59 +58,38 @@ runCycles(benchmark::State &state, const SystemConfig &cfg)
 void
 BM_RingSmall(benchmark::State &state)
 {
-    runCycles(state, ringCfg("2:4", true));
+    runCycles(state, ringCfg("2:4"));
 }
 
 void
 BM_RingLarge(benchmark::State &state)
 {
-    runCycles(state, ringCfg("3:3:12", true));
+    runCycles(state, ringCfg("3:3:12"));
 }
 
 void
 BM_MeshSmall(benchmark::State &state)
 {
-    runCycles(state, meshCfg(3, true));
+    runCycles(state, meshCfg(3));
 }
 
 void
 BM_MeshLarge(benchmark::State &state)
 {
-    runCycles(state, meshCfg(11, true));
+    runCycles(state, meshCfg(11));
 }
 
 /**
  * Mostly-idle network: at C = 0.01 a small ring spends most cycles
  * with no flit in flight, which is exactly what the active-set
- * scheduler and the quiescent-gap fast-forward are for. Compare
- * against BM_RingSmallLowCLegacy for the realized speedup.
+ * scheduler and the quiescent-gap fast-forward are for.
  */
 void
 BM_RingSmallLowC(benchmark::State &state)
 {
-    SystemConfig cfg = ringCfg("2:4", true);
+    SystemConfig cfg = ringCfg("2:4");
     cfg.workload.missRateC = 0.01;
     runCycles(state, cfg);
-}
-
-void
-BM_RingSmallLowCLegacy(benchmark::State &state)
-{
-    SystemConfig cfg = ringCfg("2:4", false);
-    cfg.workload.missRateC = 0.01;
-    runCycles(state, cfg);
-}
-
-void
-BM_RingLargeLegacy(benchmark::State &state)
-{
-    runCycles(state, ringCfg("3:3:12", false));
-}
-
-void
-BM_MeshLargeLegacy(benchmark::State &state)
-{
-    runCycles(state, meshCfg(11, false));
 }
 
 /** A figure-style point list: the paper's mid-size rings and meshes
@@ -126,9 +100,9 @@ sweepPoints()
 {
     std::vector<SystemConfig> points;
     for (const char *topo : {"4", "8", "2:4", "2:8", "3:3:4"})
-        points.push_back(ringCfg(topo, true));
+        points.push_back(ringCfg(topo));
     for (const int width : {2, 3, 4, 5, 6})
-        points.push_back(meshCfg(width, true));
+        points.push_back(meshCfg(width));
     for (auto &cfg : points) {
         cfg.sim.warmupCycles = 1000;
         cfg.sim.batchCycles = 1000;
@@ -168,12 +142,9 @@ BM_SweepParallel4(benchmark::State &state)
 
 BENCHMARK(BM_RingSmall);
 BENCHMARK(BM_RingSmallLowC);
-BENCHMARK(BM_RingSmallLowCLegacy);
 BENCHMARK(BM_RingLarge);
-BENCHMARK(BM_RingLargeLegacy);
 BENCHMARK(BM_MeshSmall);
 BENCHMARK(BM_MeshLarge);
-BENCHMARK(BM_MeshLargeLegacy);
 BENCHMARK(BM_SweepSerial);
 BENCHMARK(BM_SweepParallel4)->UseRealTime();
 
@@ -182,8 +153,8 @@ BENCHMARK(BM_SweepParallel4)->UseRealTime();
 /**
  * Custom main: BENCHMARK_MAIN() plus run-context records, so a saved
  * BENCH_simspeed.json says which build produced it. Without these, a
- * Debug-build artifact or one taken under HRSIM_FORCE_FULL_SCAN is
- * indistinguishable from a real Release baseline.
+ * Debug-build artifact is indistinguishable from a real Release
+ * baseline.
  */
 int
 main(int argc, char **argv)
@@ -206,18 +177,6 @@ main(int argc, char **argv)
         jobs_env != nullptr && jobs_env[0] != '\0'
             ? jobs_env
             : std::to_string(std::thread::hardware_concurrency()));
-    const char *force = std::getenv("HRSIM_FORCE_FULL_SCAN");
-    benchmark::AddCustomContext(
-        "hrsim_force_full_scan",
-        force != nullptr && force[0] != '\0' ? force : "0");
-    const char *no_fast = std::getenv("HRSIM_NO_FASTPATH");
-    benchmark::AddCustomContext(
-        "hrsim_no_fastpath",
-        no_fast != nullptr && no_fast[0] != '\0' ? no_fast : "0");
-    const char *no_col = std::getenv("HRSIM_NO_COLUMNAR");
-    benchmark::AddCustomContext(
-        "hrsim_no_columnar",
-        no_col != nullptr && no_col[0] != '\0' ? no_col : "0");
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -5,9 +5,7 @@
 # streaming counters only count flits forwarded on an already-owned
 # output port, so zero would mean the fast path silently degraded
 # into re-arbitrating every flit. A ring point checks the NIC/IRI
-# counters the same way, and a HRSIM_NO_FASTPATH control run must not
-# register the counters at all (the mode-gated metric convention that
-# keeps artifacts byte-identical across modes).
+# counters the same way.
 #
 # Usage: scripts/check_fastpath_smoke.sh HRSIM_CLI METRICS_CHECK \
 #            SCHEMA [OUTDIR]
@@ -25,7 +23,6 @@ outdir=${4:-.}
 
 mesh_out="$outdir/fastpath_smoke_mesh.json"
 ring_out="$outdir/fastpath_smoke_ring.json"
-legacy_out="$outdir/fastpath_smoke_legacy.json"
 
 # Saturated MeshSmall / RingSmall analogues of bench_simspeed.
 "$cli" --mesh 3 --line 64 --t 4 \
@@ -34,15 +31,11 @@ legacy_out="$outdir/fastpath_smoke_legacy.json"
 "$cli" --ring 2:4 --line 64 --t 4 \
     --warmup 1000 --batch 1000 --batches 3 \
     --metrics-out "$ring_out" >/dev/null
-HRSIM_NO_FASTPATH=1 "$cli" --mesh 3 --line 64 --t 4 \
-    --warmup 1000 --batch 1000 --batches 3 \
-    --metrics-out "$legacy_out" >/dev/null
 
 "$checker" "$schema" "$mesh_out"
 "$checker" "$schema" "$ring_out"
-"$checker" "$schema" "$legacy_out"
 
-python3 - "$mesh_out" "$ring_out" "$legacy_out" <<'PY'
+python3 - "$mesh_out" "$ring_out" <<'PY'
 import json
 import sys
 
@@ -55,8 +48,7 @@ def metrics(path):
 def expect_streaming(path, name):
     value = metrics(path).get(name)
     if value is None:
-        raise SystemExit(f"{name} missing from {path}: "
-                         "fast path not engaged")
+        raise SystemExit(f"{name} missing from {path}")
     if value <= 0:
         raise SystemExit(f"{name} = {value} in {path}: a saturated "
                          "point must stream worm bodies")
@@ -66,12 +58,6 @@ def expect_streaming(path, name):
 streamed = expect_streaming(sys.argv[1], "router.streamed_flits")
 nic = expect_streaming(sys.argv[2], "nic.streamed_flits")
 iri = expect_streaming(sys.argv[2], "iri.streamed_flits")
-
-for name, value in metrics(sys.argv[3]).items():
-    if name.endswith(".streamed_flits"):
-        raise SystemExit(
-            f"{name} present under HRSIM_NO_FASTPATH=1: mode-gated "
-            "metrics must not register on the legacy path")
 
 print(f"fastpath smoke ok: router.streamed_flits = {streamed:.0f}, "
       f"nic.streamed_flits = {nic:.0f}, "

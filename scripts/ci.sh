@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
 # The repository's CI pipeline, runnable locally and from any CI
-# runner. Three build configurations, in order of cost:
+# runner. Four stages, in order of cost:
 #
-#  1. release  — Release build, the full ctest suite (unit tests,
-#                paper-conformance checks, and the script gates:
-#                metrics_schema_check, docs_check, simspeed_smoke,
+#  1. release  — Release build, the layout_smoke gate first, then the
+#                full ctest suite (unit tests, paper-conformance
+#                checks, and the script gates: metrics_schema_check,
+#                docs_check, simspeed_smoke, fastpath_smoke,
 #                adaptive_smoke, fault_smoke, ckpt_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
-#                tests (sweep engine, adaptive run control, active-set
-#                scheduler, fault replay under parallel sweeps,
-#                checkpointed sweeps, the golden digest corpus): the
-#                parallel sweep's work-claiming/result reaping must be
-#                race-free.
+#                tests (sweep engine, adaptive run control, the
+#                scheduler's bitmap scans, fault replay under parallel
+#                sweeps, checkpointed sweeps, the golden digest
+#                corpus): the parallel sweep's work-claiming/result
+#                reaping must be race-free.
 #  3. asan     — -DHRSIM_SANITIZE=address, the same test set plus the
 #                container/stats units: the hot-path ring buffers and
 #                the adaptive batch storage index with raw masks and
 #                grow under churn, exactly where AddressSanitizer
-#                pays for itself; the golden corpus runs every engine
-#                path of the bit-identity grid under it.
+#                pays for itself; the golden corpus runs the whole
+#                bit-identity grid under it.
 #  4. bench    — Release build of bench_simspeed (linked against the
 #                in-tree minibench harness, so no system Debug
 #                benchmark library can distort it) plus a short
@@ -35,16 +36,16 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 
 # Tests worth re-running under the sanitizers: everything that
 # exercises threads, the adaptive controller, or raw-index storage.
-# LayoutSmoke/StablePool cover the columnar bitmap scans and the
+# LayoutSmoke/StablePool cover the scheduler's bitmap scans and the
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
 # Golden replays the whole bit-identity grid (rings, meshes, faults,
 # trace replay) against its recorded digests.
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden'
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release
     cmake --build "$src/build-ci" -j "$jobs"
-    # Fail fast on the columnar layout invariants before the full
+    # Fail fast on the bitmap scan-order invariants before the full
     # suite: a broken bitmap scan fails hundreds of downstream tests
     # with less useful diagnostics.
     ctest --test-dir "$src/build-ci" -R '^layout_smoke$' \

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run the simulator-throughput benchmark and emit BENCH_simspeed.json
-# (google-benchmark JSON: node-cycles/s per config, fast vs legacy
-# tick loops, and sweep-engine points/s) so the performance trajectory
+# (google-benchmark JSON: node-cycles/s per config and sweep-engine
+# points/s) so the performance trajectory
 # is tracked across PRs. Also emits a metrics artifact with hrsim_cli
 # and validates it against scripts/metrics_schema.json, so a schema
 # regression fails the same CI step that tracks performance.

@@ -12,11 +12,11 @@
  *    scratch flags are dead. Components therefore serialize visible
  *    state only.
  *  - Authoritative state only. Anything rebuilt by an existing
- *    configuration path — columnar column bindings, cached FIFO
- *    views, utilization counter pointers, route LUTs — is derived
- *    and is reconstructed after load via those same paths
- *    (bindColumns / refreshViews / setActiveScheduling), never
- *    serialized.
+ *    construction path — column bindings, cached FIFO views,
+ *    utilization counter pointers, route LUTs, derived scheduler
+ *    membership — is reconstructed at construction or after load
+ *    (bindColumns / refreshViews / the ring's schedule reseed),
+ *    never serialized.
  *  - saveState() is const and must not perturb the run: a run that
  *    saves a checkpoint stays bit-identical to one that does not.
  *  - Field order is fixed and symmetric: loadState() reads exactly

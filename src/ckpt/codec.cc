@@ -17,9 +17,6 @@ writeHeaderFields(CkptWriter &w, const CheckpointHeader &header)
 {
     w.u32(header.version);
     w.str(header.configKey);
-    w.boolean(header.columnar);
-    w.boolean(header.fastPath);
-    w.boolean(header.activeSched);
     w.u64(header.cycle);
 }
 
@@ -29,9 +26,6 @@ readHeaderFields(CkptReader &r)
     CheckpointHeader header;
     header.version = r.u32();
     header.configKey = r.str();
-    header.columnar = r.boolean();
-    header.fastPath = r.boolean();
-    header.activeSched = r.boolean();
     header.cycle = r.u64();
     return header;
 }

@@ -19,8 +19,8 @@
  *  - string: u32 byte length + raw bytes (no terminator).
  *
  * The file container (writeCheckpointFile / openCheckpointFile) adds
- * a magic, a schema version, the producing run's config key and
- * build-flag plane, the save cycle, and an FNV-1a hash over the
+ * a magic, a schema version, the producing run's config key, the
+ * save cycle, and an FNV-1a hash over the
  * payload, and refuses files whose header does not match the
  * restoring run. Writes go through a temporary file plus rename so a
  * crash mid-save never leaves a truncated checkpoint at the target
@@ -42,7 +42,7 @@ namespace hrsim
 
 /**
  * Recoverable checkpoint failure: unreadable file, bad magic or
- * hash, or a config-key / build-plane mismatch. The CLI catches it
+ * hash, or a config-key mismatch. The CLI catches it
  * and reports the message; callers that must not die (sweep resume
  * probing) catch it and fall back to a fresh run.
  */
@@ -198,18 +198,12 @@ class CkptReader
 
 /**
  * Everything the container header records about the producing run.
- * The config key is obs/manifest.hh's configKey(cfg) string; the
- * plane flags capture the oracle switches that change which derived
- * structures exist (and therefore which metric namespaces a restored
- * run must reproduce).
+ * The config key is obs/manifest.hh's configKey(cfg) string.
  */
 struct CheckpointHeader
 {
     std::uint32_t version = 0;
     std::string configKey;
-    bool columnar = false;
-    bool fastPath = false;
-    bool activeSched = false;
     std::uint64_t cycle = 0;
 };
 
@@ -217,9 +211,11 @@ struct CheckpointHeader
  * Current on-disk schema version. Bump on any layout change.
  * Version 2 dropped the parallel-tick progress counters from the ring
  * and mesh payloads and merged each IRI's per-side wait/escape
- * counters into one pair.
+ * counters into one pair. Version 3 dropped the three tick-plane
+ * flags (columnar / fast path / active scheduling) from the header:
+ * every run ticks on the one remaining plane.
  */
-constexpr std::uint32_t ckptSchemaVersion = 2;
+constexpr std::uint32_t ckptSchemaVersion = 3;
 
 /**
  * Atomically write @a header + @a payload to @a path (temporary file
@@ -234,7 +230,7 @@ void writeCheckpointFile(const std::string &path,
  * and payload hash. Returns the header and fills @a payload with the
  * verified payload bytes. Header/config compatibility is the
  * caller's job (System::restoreCheckpoint), because only the caller
- * knows its own config key and plane.
+ * knows its own config key.
  */
 CheckpointHeader
 openCheckpointFile(const std::string &path,

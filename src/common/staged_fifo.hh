@@ -394,16 +394,17 @@ struct FifoView
  * StagedFifo variant whose cursor block can be hoisted into a
  * network-owned FifoState column. Semantics are identical to
  * StagedFifo (same propose/commit discipline, same accounting, same
- * assertions); the cursors default to a heap-allocated block (the
- * HRSIM_NO_COLUMNAR oracle layout) until bindState() repoints them.
- * Element storage is never inline: columnar users (the mesh router)
+ * assertions); the cursors live in a heap-allocated block until
+ * bindState() moves them into the column (the mesh network binds
+ * every router queue at construction).
+ * Element storage is never inline: column users (the mesh router)
  * already place elements in a caller arena, and keeping the payload
  * out of the object is what lets the commit sweep touch columns only.
  * The shell itself is deliberately slim — two hot pointers plus two
  * cold owners, 32 bytes — so six of them don't spread a router's
  * other hot fields across extra cache lines the way an in-object
  * cursor block would (measured: that bloat cost more than the whole
- * columnar win on the saturated mesh).
+ * column layout won on the saturated mesh).
  */
 template <typename T>
 class ColumnFifo
@@ -596,7 +597,7 @@ class ColumnFifo
         return index + 1 == st_->capacity ? 0 : index + 1;
     }
 
-    std::unique_ptr<FifoState> ownSt_; //!< oracle cursor storage
+    std::unique_ptr<FifoState> ownSt_; //!< cursors until bindState()
     FifoState *st_;                    //!< live cursor block
     T *ext_ = nullptr;          //!< element storage (owned or arena)
     std::unique_ptr<T[]> ownBuf_; //!< owned storage when none given

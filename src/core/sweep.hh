@@ -21,11 +21,9 @@
  * the config — wall-clock timing lives only in the run manifest, so
  * `--jobs 1` and `--jobs N` serialize byte-identical metric sections.
  *
- * It also extends through the active-set scheduler (src/sim/
- * active_set.hh): which components tick and which cycles fast-forward
- * is itself a pure function of the config, and skipped work is
- * provably side-effect-free, so scheduled and full-scan runs differ
- * only in the sched.* introspection metrics.
+ * It also extends through the tick scheduler (src/sim/columns.hh):
+ * which components tick and which cycles fast-forward is itself a
+ * pure function of the config.
  *
  * Scheduling: workers claim points from a shared atomic cursor, so a
  * point that finishes early (an adaptive run that converged after a

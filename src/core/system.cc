@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
@@ -9,8 +8,6 @@
 #include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
 #include "ring/slotted_network.hh"
-#include "sim/columns.hh"
-#include "sim/fastpath.hh"
 #include "workload/region.hh"
 
 namespace hrsim
@@ -78,6 +75,11 @@ System::System(const SystemConfig &cfg)
               "removed and every run ticks serially (use sweep "
               "workers, SweepOptions::jobs / --jobs, for parallelism)");
     }
+    if (!cfg_.sim.idleSkip) {
+        fatal("System: idleSkip = false is not supported; the "
+              "every-cycle tick loop was removed and every run skips "
+              "idle components (results are identical either way)");
+    }
     buildNetwork();
     buildWorkload();
 
@@ -122,30 +124,6 @@ System::System(const SystemConfig &cfg)
     procWake_.assign(num_pms, 0);
     memActive_.assign(num_pms, 0);
     activeMems_.reserve(num_pms);
-
-    // Active-set scheduling rides on the idleSkip contract; the
-    // HRSIM_FORCE_FULL_SCAN environment variable (any value but "" or
-    // "0") forces the legacy full-scan path so the two can be
-    // regression-checked against each other.
-    const char *force = std::getenv("HRSIM_FORCE_FULL_SCAN");
-    const bool full_scan =
-        force != nullptr && force[0] != '\0' &&
-        !(force[0] == '0' && force[1] == '\0');
-    activeSched_ = cfg_.sim.idleSkip && !full_scan;
-
-    // The columnar tick engine has its own oracle switch
-    // (HRSIM_NO_COLUMNAR, read once here); see src/sim/columns.hh.
-    // Must precede setActiveScheduling() so its wake seeding lands
-    // in the columnar bitmap mask rather than the legacy ActiveSet.
-    network_->setColumnar(columnarEnabled());
-
-    network_->setActiveScheduling(activeSched_);
-
-    // The worm-streaming fast path has its own oracle switch
-    // (HRSIM_NO_FASTPATH, read once here); see src/sim/fastpath.hh.
-    // Must precede registerSystemMetrics(): the streamed-flits
-    // metrics register only when the fast path is on.
-    network_->setFastPath(fastPathEnabled());
 
     registerSystemMetrics();
 }
@@ -306,20 +284,14 @@ System::registerSystemMetrics()
         });
     }
 
-    // Scheduler introspection. Registered only when active
-    // scheduling is on so full-scan runs stay comparable to
-    // pre-scheduler artifacts (tests strip the sched.* namespace
-    // before comparing the two modes).
-    if (activeSched_) {
-        metrics_.addCounter("sched.skipped_cycles", &skippedCycles_);
-        metrics_.addGauge("sched.active_nodes", [this]() {
-            return static_cast<double>(network_->activeNodeCount());
-        });
-    }
+    // Scheduler introspection.
+    metrics_.addCounter("sched.skipped_cycles", &skippedCycles_);
+    metrics_.addGauge("sched.active_nodes", [this]() {
+        return static_cast<double>(network_->activeNodeCount());
+    });
 
     // Fault-injection introspection. Registered only under a fault
-    // plan (same convention as sched.*): fault-free artifacts never
-    // mention the subsystem.
+    // plan: fault-free artifacts never mention the subsystem.
     if (faults_) {
         faults_->registerMetrics(metrics_);
         metrics_.addCounter("retry.reissued",
@@ -352,35 +324,28 @@ System::tickOnce()
     // the lazy replay stays jump-safe; see fault_controller.hh).
     if (faults_)
         faults_->advanceTo(now_);
-    if (cfg_.sim.idleSkip) {
-        // Fast path: tick only components with work to do. The
-        // nextWake()/syncSkipped() contract keeps every metric
-        // bit-identical to the every-cycle path below.
-        for (std::size_t i = 0; i < processors_.size(); ++i) {
-            if (procWake_[i] > now_)
-                continue;
-            processors_[i]->tick(now_);
-            procWake_[i] = processors_[i]->nextWake(now_);
+    // Tick only components with work to do. The nextWake() /
+    // syncSkipped() contract makes a skipped processor tick
+    // indistinguishable from a ticked one.
+    for (std::size_t i = 0; i < processors_.size(); ++i) {
+        if (procWake_[i] > now_)
+            continue;
+        processors_[i]->tick(now_);
+        procWake_[i] = processors_[i]->nextWake(now_);
+    }
+    for (std::size_t i = 0; i < activeMems_.size();) {
+        const auto pm = static_cast<std::size_t>(activeMems_[i]);
+        memories_[pm]->tick(now_);
+        if (memories_[pm]->pendingResponses() == 0) {
+            // Drained: drop from the active list (order within the
+            // list is immaterial — memories only touch their own NIC
+            // queue).
+            memActive_[pm] = 0;
+            activeMems_[i] = activeMems_.back();
+            activeMems_.pop_back();
+        } else {
+            ++i;
         }
-        for (std::size_t i = 0; i < activeMems_.size();) {
-            const auto pm = static_cast<std::size_t>(activeMems_[i]);
-            memories_[pm]->tick(now_);
-            if (memories_[pm]->pendingResponses() == 0) {
-                // Drained: drop from the active list (order within
-                // the list is immaterial — memories only touch their
-                // own NIC queue).
-                memActive_[pm] = 0;
-                activeMems_[i] = activeMems_.back();
-                activeMems_.pop_back();
-            } else {
-                ++i;
-            }
-        }
-    } else {
-        for (auto &processor : processors_)
-            processor->tick(now_);
-        for (auto &memory : memories_)
-            memory->tick(now_);
     }
     network_->tick(now_);
 
@@ -415,7 +380,7 @@ System::tickOnce()
 void
 System::fastForwardQuiescent(Cycle limit)
 {
-    if (!activeSched_ || !network_->isIdle())
+    if (!network_->isIdle())
         return;
 
     Cycle target = limit;
@@ -769,9 +734,6 @@ System::saveCheckpoint(const std::string &path) const
     CheckpointHeader header;
     header.version = ckptSchemaVersion;
     header.configKey = configKey(cfg_);
-    header.columnar = columnarEnabled();
-    header.fastPath = fastPathEnabled();
-    header.activeSched = activeSched_;
     header.cycle = now_;
     writeCheckpointFile(path, header, w);
 }
@@ -798,14 +760,6 @@ System::restoreCheckpoint(const std::string &path)
         throw CheckpointError(
             "checkpoint: config mismatch\n  snapshot: " +
             header.configKey + "\n  run:      " + own_key);
-    }
-    if (header.columnar != columnarEnabled() ||
-        header.fastPath != fastPathEnabled() ||
-        header.activeSched != activeSched_) {
-        throw CheckpointError(
-            "checkpoint: build-flag plane mismatch (the snapshot was "
-            "taken under different columnar / fast-path / "
-            "active-scheduling oracle switches than this run)");
     }
 
     CkptReader r(std::move(payload));

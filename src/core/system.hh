@@ -66,10 +66,14 @@ struct SimConfig
     /** Cycles without any delivery before declaring a stall. */
     Cycle watchdogCycles = 50000;
     /**
-     * Skip ticking provably-idle components (saturated processors,
-     * memories with empty completion queues). Metrics are identical
-     * either way — the flag exists so the legacy every-cycle path can
-     * be benchmarked and regression-checked against the fast one.
+     * Must be true. Every run skips provably-idle components
+     * (saturated processors, memories with empty completion queues,
+     * asleep network components) and fast-forwards quiescent cycles;
+     * the every-cycle tick loop this flag once selected is gone. The
+     * System constructor rejects false with a ConfigError. The field
+     * survives only because the end-to-end benchmark's traced system
+     * (bench/e2e/traced_system.cc) still reads it; the next change to
+     * that benchmark deletes the read and this field with it.
      */
     bool idleSkip = true;
     /**
@@ -301,9 +305,8 @@ class System
 
     /**
      * Replace this freshly-constructed System's state with the
-     * snapshot at @a path. The file's config key and build-flag plane
-     * (columnar / fast-path / active-scheduling oracles) must match
-     * this run's — mismatches throw CheckpointError naming both keys.
+     * snapshot at @a path. The file's config key must match this
+     * run's — a mismatch throws CheckpointError naming both keys.
      * After restoring, run() continues the saved run: running to
      * cycle Y yields byte-identical metrics and flit events to an
      * uninterrupted run reaching Y. With CheckpointOptions::forkSeed,
@@ -358,9 +361,7 @@ class System
      * completion — clamped so no protocol boundary (warmup start,
      * metrics snapshot, watchdog check) is stepped over. The skipped
      * cycles are provably no-ops, so results stay bit-identical; the
-     * count lands in the sched.skipped_cycles metric. No-op unless
-     * active scheduling is on (idleSkip and not forced off via the
-     * HRSIM_FORCE_FULL_SCAN environment variable).
+     * count lands in the sched.skipped_cycles metric.
      */
     void fastForwardQuiescent(Cycle limit);
 
@@ -384,8 +385,6 @@ class System
     Cycle lastProgress_ = 0;
     std::uint64_t lastActivity_ = 0;
 
-    /** Active-set scheduling + fast-forward enabled (see ctor). */
-    bool activeSched_ = false;
     /** Quiescent cycles fast-forwarded over (sched.skipped_cycles). */
     std::uint64_t skippedCycles_ = 0;
 
@@ -413,7 +412,7 @@ class System
      *  boundary's clamp releases once its save has fired. */
     Cycle lastEverySave_ = 0;
 
-    // Skip-idle bookkeeping (used when cfg_.sim.idleSkip).
+    // Skip-idle bookkeeping.
     /** Per-PM cycle of the next required processor tick. */
     std::vector<Cycle> procWake_;
     /** PMs whose memory has a non-empty completion queue. */

@@ -13,8 +13,8 @@
  * on), so applying it on the first busy cycle after the jump is
  * equivalent to applying it on time — and the edge sequence itself
  * is a pure function of the plan, never of wall time or scheduling,
- * keeping faulted runs bit-identical across reruns, --jobs counts
- * and the fast-path/full-scan oracles.
+ * keeping faulted runs bit-identical across reruns and --jobs
+ * counts.
  *
  * Overlapping windows on one target compose by counting: networks
  * hold per-target depth counters, not booleans, so a link is down

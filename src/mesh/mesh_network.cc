@@ -16,6 +16,14 @@ MeshNetwork::MeshNetwork(const Params &params)
         fatal("MeshNetwork: width must be >= 1");
 
     const int num_pms = params_.width * params_.width;
+    const auto p = static_cast<std::size_t>(num_pms);
+    // Hot per-cycle state lives in flat columns indexed by router id
+    // (six FIFO cursor blocks, inputs E/W/S/N then outResp then
+    // outReq, and one changed/poked flag pair), bound as each router
+    // is built.
+    fifoCol_.resize(p * 6);
+    flagsCol_.resize(p);
+    activeMask_.reset(p);
     // Segment one arena so each router's buffered flits occupy
     // adjacent cache lines (the routers themselves store only the
     // queue bookkeeping; see MeshRouter's storage parameter).
@@ -33,15 +41,14 @@ MeshNetwork::MeshNetwork(const Params &params)
             delivered(pkt, when);
         });
         router.setTracerSlot(&tracer_);
+        const auto idx = static_cast<std::size_t>(id);
+        router.bindColumns(&fifoCol_[idx * 6], &flagsCol_[idx],
+                           &activeMask_);
     }
-    active_.reset(routers_.size());
-    for (auto &router : routers_)
-        router.setWakeSet(&active_);
 
     // e-cube routing LUT: one row per router, one byte per
     // destination. Built from the coordinate computation it replaces
     // (test_mesh_network.cc checks the two agree exhaustively).
-    const std::size_t p = static_cast<std::size_t>(num_pms);
     routeLut_.resize(p * p);
     for (std::size_t r = 0; r < p; ++r) {
         for (std::size_t dst = 0; dst < p; ++dst) {
@@ -103,7 +110,7 @@ MeshNetwork::inject(NodeId pm, const Packet &pkt)
         fatal("MeshNetwork: meshes have no broadcast; send unicasts");
     routers_[static_cast<std::size_t>(pm)].inject(pkt);
     routers_[static_cast<std::size_t>(pm)].poke();
-    wakeRouter(static_cast<std::uint32_t>(pm));
+    activeMask_.add(static_cast<std::uint32_t>(pm));
     if (acct_)
         acct_->injectedFlits += pkt.sizeFlits;
     HRSIM_TRACE_FLIT(tracer_, FlitEvent::Inject, pkt.id, pm,
@@ -113,96 +120,27 @@ MeshNetwork::inject(NodeId pm, const Packet &pkt)
 void
 MeshNetwork::tick(Cycle now)
 {
-    // Two-phase semantics live inside the staged FIFOs, so the
-    // evaluation order of routers is immaterial.
-    if (!activeSched_) {
-        for (auto &router : routers_)
-            router.evaluate(now);
-        if (columnar_) {
-            // Router commits are exactly six FIFO-state commits each
-            // (flags carry no commit step), so with every cursor
-            // hoisted into fifoCol_ the per-router commit loop
-            // collapses into one linear sweep over the column.
-            for (FifoState &state : fifoCol_)
-                state.commit();
-        } else {
-            for (auto &router : routers_)
-                router.commit();
-        }
-        return;
-    }
-
-    if (columnar_) {
-        tickColumnar(now);
-        return;
-    }
-
-    // Active path: evaluate the start-of-cycle sorted prefix. A
-    // router woken mid-tick was asleep, i.e. its last evaluate
-    // changed nothing, so the skipped evaluate this cycle is still a
-    // no-op: the event that woke it (arrival, credit) only becomes
-    // actionable after the commits below. Wakes only append, so
-    // prefix indices stay stable.
+    // The mask's forEach visits live ids in ascending order. A router
+    // woken mid-pass and visited in the same pass was asleep, i.e.
+    // its last evaluate changed nothing; neighbor occupancy is
+    // invariant until the commits below, so that evaluate provably
+    // changes nothing again, and visiting it now instead of next
+    // cycle is a no-op either way (see MeshRouter::sweepKeep).
     //
-    // Saturation hybrid: when most routers are awake the indexed
-    // prefix walk loses to a plain linear sweep (sequential stride,
-    // no sort, no index indirection), and evaluating the few asleep
-    // routers too is harmless — an asleep router's evaluate is a
-    // provable no-op (see MeshRouter::sweepKeep). Both walks visit
-    // routers in ascending id order, so they are bit-identical.
-    if (active_.size() * 4 >= routers_.size() * 3) {
-        for (MeshRouter &router : routers_)
-            router.evaluate(now);
-        // At saturation the sleep sweep rarely retires anyone, so
-        // amortize it: most ticks commit everything linearly (a
-        // never-woken router's commit is a no-op) and keep the set
-        // as-is — retaining an idle router is always sound, only
-        // *removal* needs the no-op proof. Every 16th saturated tick
-        // runs the real sweep so the set can decay once load drops.
-        if (++satTicks_ % 16 != 0) {
-            for (MeshRouter &router : routers_)
-                router.commit();
-            return;
-        }
-    } else {
-        const std::size_t n = active_.orderedPrefix();
-        for (std::size_t i = 0; i < n; ++i)
-            routers_[active_.at(i)].evaluate(now);
-    }
-    // Commit fused into the retain sweep (commits are per-router
-    // bookkeeping, order-free). The sleep decision is sweepKeep():
-    // a router whose evaluate changed nothing sleeps even while it
-    // still buffers flits — a back-pressured worm burns no cycles
-    // waiting — and is re-woken by the arrival, injection or
-    // downstream-credit poke that could let it move again.
-    active_.retain([this](std::uint32_t id) {
-        MeshRouter &router = routers_[id];
-        router.commit();
-        return router.sweepKeep();
-    });
-    // Sleep soundness check: e-cube is deadlock-free and ejection
-    // always sinks, so flits in flight imply some router just moved
-    // one (and stayed awake). An empty set must mean an empty mesh.
-    if (active_.empty())
-        HRSIM_ASSERT(flitsInFlight() == 0);
-}
-
-void
-MeshNetwork::tickColumnar(Cycle now)
-{
-    // Same scheduler as tickActive above, restated over the bitmap
-    // mask and flat FIFO columns. Bit-identity with the legacy path
-    // (DESIGN.md section 14): the mask's forEach visits live ids in
-    // ascending order; a router woken mid-pass and visited in the
-    // same pass was asleep, so its evaluate provably changes nothing
-    // (neighbor occupancy is invariant until the commits below), and
-    // visiting it now instead of next cycle is a no-op either way.
+    // Saturation hybrid: when most routers are awake a plain linear
+    // sweep over every router beats the bitmap scan, and evaluating
+    // the few asleep routers too is harmless for the same reason.
     if (activeMask_.size() * 4 >= routers_.size() * 3) {
         for (MeshRouter &router : routers_)
             router.evaluate(now);
-        // Amortized sleep sweep, as in tick(): most saturated ticks
-        // commit everything via a linear cursor sweep (a clean FIFO's
-        // commit is a no-op) and skip the retain.
+        // At saturation the sleep sweep rarely retires anyone, so
+        // amortize it: most ticks commit everything via one linear
+        // cursor sweep (router commits are exactly six FIFO-state
+        // commits each, and a clean FIFO's commit is a no-op) and
+        // keep the mask as-is — retaining an idle router is always
+        // sound, only *removal* needs the no-op proof. Every 16th
+        // saturated tick runs the real sweep so the mask can decay
+        // once load drops.
         if (++satTicks_ % 16 != 0) {
             for (FifoState &state : fifoCol_)
                 state.commit();
@@ -213,77 +151,35 @@ MeshNetwork::tickColumnar(Cycle now)
             routers_[id].evaluate(now);
         });
     }
+    // Commit fused into the sleep sweep (commits are per-router
+    // bookkeeping, order-free). The sleep decision is sweepKeep():
+    // a router whose evaluate changed nothing sleeps even while it
+    // still buffers flits — a back-pressured worm burns no cycles
+    // waiting — and is re-woken by the arrival, injection or
+    // downstream-credit poke that could let it move again.
     activeMask_.retain([this](std::uint32_t id) {
         FifoState *states = &fifoCol_[static_cast<std::size_t>(id) * 6];
         for (int q = 0; q < 6; ++q)
             states[q].commit();
         return routers_[id].sweepKeep();
     });
+    // Sleep soundness check: e-cube is deadlock-free and ejection
+    // always sinks, so flits in flight imply some router just moved
+    // one (and stayed awake). An empty mask must mean an empty mesh.
     if (activeMask_.empty())
         HRSIM_ASSERT(flitsInFlight() == 0);
-}
-
-void
-MeshNetwork::setActiveScheduling(bool enabled)
-{
-    activeSched_ = enabled;
-    if (!enabled)
-        return;
-    for (std::size_t id = 0; id < routers_.size(); ++id) {
-        if (routers_[id].flitCount() != 0) {
-            routers_[id].poke();
-            wakeRouter(static_cast<std::uint32_t>(id));
-        }
-    }
-}
-
-void
-MeshNetwork::setColumnar(bool enabled)
-{
-    columnar_ = enabled;
-    if (!enabled)
-        return;
-    // Hoist the hot per-cycle state into flat columns: six FIFO
-    // cursor blocks per router (inputs N/E/S/W, then outResp, then
-    // outReq) plus one changed/poked flag pair, both indexed by
-    // router id, and the two-level bitmap that replaces the
-    // ActiveSet. Binding copies current values before repointing, so
-    // the call is sound at any time (System makes it before any
-    // traffic and before setActiveScheduling seeds wakes).
-    fifoCol_.resize(routers_.size() * 6);
-    flagsCol_.resize(routers_.size());
-    activeMask_.reset(routers_.size());
-    for (std::size_t id = 0; id < routers_.size(); ++id) {
-        routers_[id].bindColumns(&fifoCol_[id * 6], &flagsCol_[id]);
-        routers_[id].setWakeMask(&activeMask_);
-    }
-    // Second pass: peer-buffer views cached at connect() point at
-    // the abandoned oracle cursor blocks now — re-cache them against
-    // the column.
-    for (auto &router : routers_)
-        router.refreshViews();
-}
-
-void
-MeshNetwork::setFastPath(bool enabled)
-{
-    fastPath_ = enabled;
-    for (auto &router : routers_)
-        router.setFastPath(enabled);
 }
 
 bool
 MeshNetwork::isIdle() const
 {
-    if (!activeSched_)
-        return flitsInFlight() == 0;
-    return columnar_ ? activeMask_.empty() : active_.empty();
+    return activeMask_.empty();
 }
 
 std::size_t
 MeshNetwork::activeNodeCount() const
 {
-    return columnar_ ? activeMask_.size() : active_.size();
+    return activeMask_.size();
 }
 
 std::uint64_t
@@ -306,17 +202,12 @@ MeshNetwork::registerMetrics(MetricRegistry &registry) const
 {
     registry.addGauge("mesh.util",
                       [this]() { return networkUtilization(); });
-    if (fastPath_) {
-        // Registered only when the fast path is on (the PR 3 sched.*
-        // convention), so metric artifacts stay byte-identical under
-        // HRSIM_NO_FASTPATH — the count itself is mode-independent.
-        registry.addGauge("router.streamed_flits", [this]() {
-            std::uint64_t total = 0;
-            for (const auto &router : routers_)
-                total += router.streamedFlits();
-            return static_cast<double>(total);
-        });
-    }
+    registry.addGauge("router.streamed_flits", [this]() {
+        std::uint64_t total = 0;
+        for (const auto &router : routers_)
+            total += router.streamedFlits();
+        return static_cast<double>(total);
+    });
     for (std::size_t id = 0; id < routers_.size(); ++id) {
         const MeshRouter *router = &routers_[id];
         registry.addGauge("mesh.r" + std::to_string(id) + ".flits",
@@ -386,7 +277,7 @@ MeshNetwork::applyFault(const FaultEvent &event, bool active)
     // draining (and a stalled router pins itself awake via
     // sweepKeep), deactivation so frozen traffic moves again.
     routers_[id].poke();
-    wakeRouter(static_cast<std::uint32_t>(id));
+    activeMask_.add(static_cast<std::uint32_t>(id));
 }
 
 void
@@ -410,18 +301,9 @@ MeshNetwork::saveState(CkptWriter &w) const
     w.boolean(!faultState_.empty());
     for (const MeshRouterFaults &faults : faultState_)
         saveMeshRouterFaults(w, faults);
-    // Explicit scheduler membership, from whichever structure wakes
-    // target (the plane header pins columnar on both sides). The
-    // ActiveSet list is saved in wake order so the re-add replays its
-    // exact internal state; the bitmap has no order to preserve.
-    if (columnar_) {
-        w.u32(static_cast<std::uint32_t>(activeMask_.size()));
-        activeMask_.forEach([&w](std::uint32_t id) { w.u32(id); });
-    } else {
-        w.u32(static_cast<std::uint32_t>(active_.raw().size()));
-        for (const std::uint32_t id : active_.raw())
-            w.u32(id);
-    }
+    // Explicit scheduler membership, in ascending id order.
+    w.u32(static_cast<std::uint32_t>(activeMask_.size()));
+    activeMask_.forEach([&w](std::uint32_t id) { w.u32(id); });
 }
 
 void
@@ -439,10 +321,7 @@ MeshNetwork::loadState(CkptReader &r)
     for (MeshRouterFaults &faults : faultState_)
         loadMeshRouterFaults(r, faults);
     const std::uint32_t members = r.u32();
-    if (columnar_)
-        activeMask_.reset(routers_.size());
-    else
-        active_.reset(routers_.size());
+    activeMask_.reset(routers_.size());
     for (std::uint32_t i = 0; i < members; ++i) {
         const std::uint32_t id = r.u32();
         if (id >= routers_.size()) {
@@ -450,10 +329,7 @@ MeshNetwork::loadState(CkptReader &r)
                 "checkpoint: active-set member out of range "
                 "(topology mismatch)");
         }
-        if (columnar_)
-            activeMask_.add(id);
-        else
-            active_.add(id);
+        activeMask_.add(id);
     }
 }
 

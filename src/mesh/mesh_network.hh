@@ -7,6 +7,12 @@
  * 32-bit links. Directional router buffers hold 1, 4 or cl flits
  * (Section 2.2); network utilization counts router-to-router links
  * only, matching the paper's metric.
+ *
+ * The network ticks only awake routers, held in an ActiveMask bitmap
+ * (sim/columns.hh); each router's six FIFO cursor blocks and its
+ * changed/poked flag pair live in network-owned columns, so the
+ * commit and sleep sweeps are linear walks over contiguous arrays.
+ * See DESIGN.md section 10 for the scheduling invariants.
  */
 
 #ifndef HRSIM_MESH_MESH_NETWORK_HH
@@ -51,9 +57,6 @@ class MeshNetwork : public Network
     }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
-    void setActiveScheduling(bool enabled) override;
-    void setFastPath(bool enabled) override;
-    void setColumnar(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
     bool faultTargetValid(const FaultTarget &target) const override;
@@ -102,38 +105,17 @@ class MeshNetwork : public Network
     std::vector<std::uint8_t> routeLut_;
     UtilizationTracker util_;
     UtilizationTracker::GroupId meshGroup_;
-    bool fastPath_ = false;
 
-    // Active-set scheduler state (setActiveScheduling). Router
-    // evaluation order is immaterial (two-phase FIFOs), but the set
-    // still iterates in id order so behaviour is easy to reason about
-    // and identical to the full scan by construction.
-    bool activeSched_ = false;
-    ActiveSet active_;
-    /** Saturated ticks since the last amortized sleep sweep. */
-    std::uint32_t satTicks_ = 0;
-
-    // Columnar engine state (setColumnar; see sim/columns.hh): six
-    // FifoState cursor blocks per router at [id * 6] and one
-    // changed/poked flag pair per router, both contiguous, plus the
-    // bitmap active mask replacing active_.
-    bool columnar_ = false;
+    // Scheduler state: six FifoState cursor blocks per router at
+    // [id * 6] and one changed/poked flag pair per router, both
+    // contiguous, plus the bitmap of awake routers. Router evaluation
+    // order is immaterial (two-phase FIFOs); the mask scans in id
+    // order so behaviour is easy to reason about.
     std::vector<FifoState> fifoCol_;
     std::vector<RouterFlags> flagsCol_;
     ActiveMask activeMask_;
-
-    /** Active-scheduled tick over the columnar layout. */
-    void tickColumnar(Cycle now);
-
-    /** Wake a router in whichever scheduler structure is live. */
-    void
-    wakeRouter(std::uint32_t id)
-    {
-        if (columnar_)
-            activeMask_.add(id);
-        else
-            active_.add(id);
-    }
+    /** Saturated ticks since the last amortized sleep sweep. */
+    std::uint32_t satTicks_ = 0;
 
     /** Per-router fault state; allocated by setFaultAccounting()
      * (i.e. only when a fault plan is active). */

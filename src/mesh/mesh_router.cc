@@ -56,21 +56,12 @@ MeshRouter::connect(MeshPort out, MeshRouter *neighbor,
     port.neighbor = neighbor;
     port.peerBuf =
         &neighbor->inBuf_[static_cast<std::size_t>(oppositePort(out))];
-    port.peer = port.peerBuf->view();
     port.util = util;
     port.link = link;
     // The facing input on the neighbor is fed by this router: popping
     // it frees a slot this router may be blocked on (credit wake).
     neighbor->upstream_[static_cast<std::size_t>(oppositePort(out))] =
         this;
-}
-
-MeshPort
-MeshRouter::routeOf(NodeId dst) const
-{
-    if (routeRow_)
-        return static_cast<MeshPort>(routeRow_[dst]);
-    return routeOfCoordinate(dst);
 }
 
 MeshPort
@@ -113,102 +104,28 @@ MeshRouter::peekInput(int in) const
     return nullptr;
 }
 
-bool
-MeshRouter::quiescent() const
-{
-    // Nothing visible to arbitrate or forward this cycle. Staged
-    // flits pushed by neighbors only become visible at commit(), and
-    // an owned-but-starved output port does no work either, so
-    // evaluate() is a provable no-op in this state.
-    for (const auto &buf : inBuf_) {
-        if (!buf.empty())
-            return false;
-    }
-    return outResp_.empty() && outReq_.empty();
-}
-
 void
-MeshRouter::evaluateLegacy(Cycle now)
-{
-    if (quiescent())
-        return;
-
-    // 1. Collect output requests from unbound inputs with a routable
-    //    head flit at their front.
-    std::array<std::uint8_t, NumMeshPorts> requests{};
-    for (int in = 0; in < NumMeshPorts; ++in) {
-        if (inputBound_[static_cast<std::size_t>(in)] != -1)
-            continue;
-        const Flit *head = peekInput(in);
-        if (!head)
-            continue;
-        HRSIM_ASSERT(head->isHead());
-        const MeshPort out = routeOfCoordinate(head->dst);
-        requests[static_cast<std::size_t>(out)] |=
-            static_cast<std::uint8_t>(1u << in);
-    }
-
-    // 2. Round-robin arbitration for each free output port.
-    for (int out = 0; out < NumMeshPorts; ++out) {
-        Output &port = out_[static_cast<std::size_t>(out)];
-        if (port.owner != -1 ||
-            requests[static_cast<std::size_t>(out)] == 0) {
-            continue;
-        }
-        const int base = roundRobin_ ? port.rrPtr : 0;
-        for (int step = 0; step < NumMeshPorts; ++step) {
-            const int in = (base + step) % NumMeshPorts;
-            if (!(requests[static_cast<std::size_t>(out)] &
-                  (1u << in))) {
-                continue;
-            }
-            grantOutput(out, in);
-            break;
-        }
-    }
-
-    // 3. Switch traversal: one flit per owned output, flow-control
-    //    permitting.
-    for (int out = 0; out < NumMeshPorts; ++out) {
-        if (out_[static_cast<std::size_t>(out)].owner == -1)
-            continue;
-        traverseOutput(out, now);
-    }
-}
-
-void
-MeshRouter::evaluateFast(Cycle now)
+MeshRouter::evaluatePorts(Cycle now)
 {
     // Port activity mask: one bit per input with a visible flit
     // (staged pushes only become visible at commit, so this cannot
     // race with neighbors). If nothing is visible the cycle is a
     // no-op, even when an output is still owned: an owned-but-starved
-    // port just holds its binding, exactly as the legacy traversal
-    // loop would.
+    // port just holds its binding. The six cursor blocks are
+    // contiguous in the network's column, so the whole visibility
+    // scan reads one or two cache lines off a single base pointer.
     PortMask vis = 0;
-    if (col_ != nullptr) {
-        // Columnar layout: the six cursor blocks are contiguous, so
-        // the whole visibility scan reads one or two cache lines off
-        // a single base pointer.
-        for (int in = 0; in < PortLocal; ++in) {
-            if (col_[in].visible != 0)
-                vis |= static_cast<PortMask>(1u << in);
-        }
-        const bool local_vis =
-            localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
-            : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
-                                         : (col_[4].visible |
-                                            col_[5].visible) != 0;
-        if (local_vis)
-            vis |= static_cast<PortMask>(1u << PortLocal);
-    } else {
-        for (int in = 0; in < PortLocal; ++in) {
-            if (!inBuf_[static_cast<std::size_t>(in)].empty())
-                vis |= static_cast<PortMask>(1u << in);
-        }
-        if (peekInput(PortLocal) != nullptr)
-            vis |= static_cast<PortMask>(1u << PortLocal);
+    for (int in = 0; in < PortLocal; ++in) {
+        if (col_[in].visible != 0)
+            vis |= static_cast<PortMask>(1u << in);
     }
+    const bool local_vis =
+        localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
+        : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
+                                     : (col_[4].visible |
+                                        col_[5].visible) != 0;
+    if (local_vis)
+        vis |= static_cast<PortMask>(1u << PortLocal);
     if (vis == 0)
         return;
 
@@ -246,9 +163,8 @@ MeshRouter::evaluateFast(Cycle now)
         }
     }
 
-    // 3. Worm streaming: owned outputs in ascending port order (the
-    //    same order the legacy full scan visits them; see the
-    //    PortMask contract in active_set.hh).
+    // 3. Worm streaming: owned outputs in ascending port order (see
+    //    PortMask in mesh_router.hh).
     for (PortMask m = ownedMask_; m != 0; m = dropLowestPort(m))
         traverseOutput(lowestSetPort(m), now);
 }

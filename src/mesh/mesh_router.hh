@@ -18,6 +18,8 @@
 #define HRSIM_MESH_MESH_ROUTER_HH
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include "ckpt/state_io.hh"
@@ -26,7 +28,6 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
-#include "sim/active_set.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -55,11 +56,34 @@ MeshPort oppositePort(MeshPort port);
  * ColumnFifo additionally lets the network hoist the six cursor
  * blocks into a contiguous FifoState column (bindColumns), so the
  * end-of-cycle commit sweep and the neighbors' canPush() probes read
- * hot columns instead of router objects; unbound (the
- * HRSIM_NO_COLUMNAR oracle) it is cursor-in-object like the old
- * StagedFifo<Flit, 0> was.
+ * hot columns instead of router objects.
  */
 using MeshFifo = ColumnFifo<Flit>;
+
+/**
+ * Port-granular activity mask: the network's ActiveMask says *which*
+ * routers tick, a PortMask says which of a router's five ports have
+ * work, so its evaluate touches only those. One bit per port in a
+ * uint8, iterated lowest bit first with ctz — ascending port order:
+ *
+ *     for (PortMask m = mask; m != 0; m = dropLowestPort(m))
+ *         visit(lowestSetPort(m));
+ */
+using PortMask = std::uint8_t;
+
+/** Index of the lowest set bit (mask must be nonzero). */
+inline int
+lowestSetPort(PortMask mask)
+{
+    return std::countr_zero(mask);
+}
+
+/** Clear the lowest set bit. */
+inline PortMask
+dropLowestPort(PortMask mask)
+{
+    return static_cast<PortMask>(mask & (mask - 1));
+}
 
 /**
  * Per-router fault state, allocated by MeshNetwork only while a
@@ -178,31 +202,18 @@ class MeshRouter
         // router and resumes untouched when the window closes.
         if (faults_ && faults_->stalled)
             return;
-        if (fastPath_)
-            evaluateFast(now);
-        else
-            evaluateLegacy(now);
+        evaluatePorts(now);
     }
 
     /**
-     * Select the worm-streaming fast path (default off = the legacy
-     * straight-line loops, which double as the bit-identity oracle).
-     * Set once after construction; results are identical either way.
-     */
-    void setFastPath(bool enabled) { fastPath_ = enabled; }
-
-    /**
      * Attach this router's row of the network's e-cube routing LUT
-     * (indexed by destination NodeId). The fast path routes heads
-     * with one load from it instead of the div/mod coordinate math.
+     * (indexed by destination NodeId). Evaluate routes heads with one
+     * load from it instead of the div/mod coordinate math.
      */
     void setRouteRow(const std::uint8_t *row) { routeRow_ = row; }
 
-    /** No visible flit anywhere: evaluate() would be a no-op. */
-    bool quiescent() const;
-
     /**
-     * End-of-cycle sleep decision for the active-set scheduler: keep
+     * End-of-cycle sleep decision for the network's scheduler: keep
      * the router awake iff this cycle's evaluate changed any state
      * (granted an output or moved a flit) or an external event poked
      * it (flit arrival, local injection, or a downstream credit).
@@ -245,38 +256,31 @@ class MeshRouter
     void setTracerSlot(FlitTracer *const *slot) { tracerSlot_ = slot; }
 
     /**
-     * The network's router ActiveSet: pushing a flit into a
-     * neighbor's input buffer wakes the neighbor (by its PM id).
-     */
-    void setWakeSet(ActiveSet *set) { wakeSet_ = set; }
-
-    /** Route wakes into the columnar bitmap (wins over wakeSet_). */
-    void setWakeMask(ActiveMask *mask) { wakeMask_ = mask; }
-
-    /**
-     * Columnar rebinding (see sim/columns.hh): hoist the six queue
-     * cursor blocks into @a states (inBuf_[0..3], outResp_, outReq_
-     * in that order) and the changed/poked flag pair into @a flags —
-     * all network-column slots. Current values move over; call once
-     * at setup, before the first tick.
+     * Bind the router to its network columns (see sim/columns.hh):
+     * the six queue cursor blocks move into @a states (inBuf_[0..3],
+     * outResp_, outReq_ in that order), the changed/poked flag pair
+     * lives at @a flags, and pushing a flit into a neighbor's input
+     * buffer wakes the neighbor (by its PM id) in @a wake. Called
+     * once at construction, before connect().
      */
     void
-    bindColumns(FifoState *states, RouterFlags *flags)
+    bindColumns(FifoState *states, RouterFlags *flags,
+                ActiveMask *wake)
     {
         for (std::size_t p = 0; p < 4; ++p)
             inBuf_[p].bindState(&states[p]);
         outResp_.bindState(&states[4]);
         outReq_.bindState(&states[5]);
         col_ = states;
-        *flags = *hot_;
         hot_ = flags;
+        wakeMask_ = wake;
     }
 
     /**
-     * Re-cache the flat peer-buffer views after every router's
-     * bindColumns() moved the cursor blocks (the network calls this
-     * in a second pass — a view cached before the *neighbor's*
-     * binding would point at its abandoned oracle block).
+     * Cache the flat peer-buffer views and the utilization counter
+     * pointers of every wired output. The network calls this once
+     * every link exists: registering a link may move the tracker's
+     * counter storage.
      */
     void
     refreshViews()
@@ -311,11 +315,12 @@ class MeshRouter
     /** Flits currently buffered in this router. */
     std::uint64_t flitCount() const;
 
-    /**
-     * e-cube output port for a packet headed to @a dst: the routing
-     * LUT row when one is attached, else the coordinate computation.
-     */
-    MeshPort routeOf(NodeId dst) const;
+    /** e-cube output port for a packet headed to @a dst (LUT row). */
+    MeshPort
+    routeOf(NodeId dst) const
+    {
+        return static_cast<MeshPort>(routeRow_[dst]);
+    }
 
     /**
      * e-cube output port computed from coordinates (X then Y). The
@@ -327,8 +332,7 @@ class MeshRouter
     /**
      * Flits forwarded on an already-owned output port, i.e. moved
      * without re-running routing or arbitration (every non-head flit
-     * of every worm). A pure function of the simulation history —
-     * identical under fast path and legacy loops.
+     * of every worm).
      */
     std::uint64_t streamedFlits() const { return streamedFlits_; }
 
@@ -343,11 +347,8 @@ class MeshRouter
     void loadState(CkptReader &r);
 
   private:
-    /** Legacy straight-line evaluate (the bit-identity oracle). */
-    void evaluateLegacy(Cycle now);
-
     /** Mask-driven evaluate: LUT routing, ctz port iteration. */
-    void evaluateFast(Cycle now);
+    void evaluatePorts(Cycle now);
 
     /** Bind output @a out to the worm whose head waits on @a in. */
     void grantOutput(int out, int in);
@@ -373,12 +374,10 @@ class MeshRouter
         // already poked, and skipping the redundant store keeps its
         // flag line clean in this core's cache.
         RouterFlags &hot = *neighbor->hot_;
-        if (!hot.poked)    // stay up next cycle
+        if (!hot.poked) // stay up next cycle
             hot.poked = true;
-        if (wakeMask_)     // and wake if sleeping
-            wakeMask_->add(static_cast<std::uint32_t>(neighbor->id_));
-        else if (wakeSet_)
-            wakeSet_->add(static_cast<std::uint32_t>(neighbor->id_));
+        // and wake if sleeping
+        wakeMask_->add(static_cast<std::uint32_t>(neighbor->id_));
     }
 
     NodeId id_;
@@ -411,10 +410,9 @@ class MeshRouter
          * feeder for directional inputs, null for the local port. */
         MeshRouter *srcUpstream = nullptr;
         MeshRouter *neighbor = nullptr;
-        /** The neighbor's facing input buffer (cached at connect,
-         * re-cached by refreshViews() after column binding). */
+        /** The neighbor's facing input buffer (set at connect). */
         MeshFifo *peerBuf = nullptr;
-        /** Flat handle onto peerBuf (same re-cache discipline). */
+        /** Flat handle onto peerBuf (cached by refreshViews()). */
         FifoView<Flit> peer{};
         UtilizationTracker *util = nullptr;
         UtilizationTracker::LinkId link = 0;
@@ -425,17 +423,12 @@ class MeshRouter
     };
     std::array<Output, NumMeshPorts> out_;
 
-    bool fastPath_ = false;
-    /** changed/poked flag pair behind a rebindable handle: the sleep
-     * sweep reads and cross-router wakes write through hot_, which
-     * the columnar engine repoints at a network column slot
-     * (in-object by default — the HRSIM_NO_COLUMNAR layout). */
-    RouterFlags hotLocal_;
-    RouterFlags *hot_ = &hotLocal_;
-    /** This router's row of the network's e-cube LUT (may be null). */
+    /** changed/poked flag pair in the network's flag column: the
+     * sleep sweep reads it and cross-router wakes write it. */
+    RouterFlags *hot_ = nullptr;
+    /** This router's row of the network's e-cube LUT. */
     const std::uint8_t *routeRow_ = nullptr;
-    /** The six contiguous column cursor blocks once bound (null in
-     * the HRSIM_NO_COLUMNAR layout): the fast-path visibility scan
+    /** The six contiguous column cursor blocks: the visibility scan
      * reads them with one base pointer instead of six st_ hops. */
     const FifoState *col_ = nullptr;
     /** Port activity: inputs bound to an output worm. */
@@ -448,8 +441,7 @@ class MeshRouter
 
     DeliverFn deliver_;
     FlitTracer *const *tracerSlot_ = nullptr;
-    ActiveSet *wakeSet_ = nullptr;
-    /** Columnar wake target; when set it wins over wakeSet_. */
+    /** The network's router mask (wake target). */
     ActiveMask *wakeMask_ = nullptr;
     /** Fault state + ledger; null (the fast case) without a plan. */
     MeshRouterFaults *faults_ = nullptr;

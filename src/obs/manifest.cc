@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "obs/build_info.hh"
-#include "sim/columns.hh"
-#include "sim/fastpath.hh"
 
 namespace hrsim
 {
@@ -107,8 +105,6 @@ makeManifest(const SystemConfig &cfg, unsigned jobs,
     manifest.configHash = hash;
     manifest.seed = cfg.sim.seed;
     manifest.jobs = jobs;
-    manifest.fastPath = fastPathEnabled();
-    manifest.columnar = columnarEnabled();
     manifest.restoredFrom = cfg.ckpt.restorePath;
     manifest.wallSeconds = wall_seconds;
     manifest.nodeCyclesPerSec =

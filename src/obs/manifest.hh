@@ -43,21 +43,6 @@ struct RunManifest
     unsigned jobs = 1; //!< sweep workers (1 for single-point runs)
 
     /**
-     * Worm-streaming fast path on for this run? Provenance, not
-     * identity: both modes produce bit-identical results (the
-     * bit-identity grid in tests/test_active_set.cc proves it), so
-     * the flag lives next to jobs/wall time, outside configKey().
-     */
-    bool fastPath = true;
-
-    /**
-     * Columnar tick engine on for this run? Same provenance-not-
-     * identity status as fastPath: HRSIM_NO_COLUMNAR=1 swaps in the
-     * legacy per-node layout with bit-identical results.
-     */
-    bool columnar = true;
-
-    /**
      * Checkpoint file the run was restored from (empty = cold
      * start). Schema-gated: the sinks emit a restored_from field
      * only when this is non-empty, so cold-start artifacts keep the

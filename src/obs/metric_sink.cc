@@ -54,10 +54,6 @@ writeManifestJson(std::ostream &out, const RunManifest &manifest)
     out << "    \"config_hash\": \"" << manifest.configHash << "\",\n";
     out << "    \"seed\": " << manifest.seed << ",\n";
     out << "    \"jobs\": " << manifest.jobs << ",\n";
-    out << "    \"fast_path\": "
-        << (manifest.fastPath ? "true" : "false") << ",\n";
-    out << "    \"columnar\": "
-        << (manifest.columnar ? "true" : "false") << ",\n";
     if (!manifest.restoredFrom.empty()) {
         out << "    \"restored_from\": \""
             << jsonEscape(manifest.restoredFrom) << "\",\n";
@@ -174,8 +170,6 @@ writeMetricsCsv(std::ostream &out, const RunManifest &manifest,
     out << "# config_hash=" << manifest.configHash << '\n';
     out << "# seed=" << manifest.seed << '\n';
     out << "# jobs=" << manifest.jobs << '\n';
-    out << "# fast_path=" << (manifest.fastPath ? 1 : 0) << '\n';
-    out << "# columnar=" << (manifest.columnar ? 1 : 0) << '\n';
     if (!manifest.restoredFrom.empty())
         out << "# restored_from=" << manifest.restoredFrom << '\n';
     out << "# wall_seconds=" << jsonNumber(manifest.wallSeconds)

@@ -208,13 +208,8 @@ RingIri::evaluateLower()
     lowerRingSource_.setLatchIsTransit(
         lower_.in().cur.has_value() &&
         routeLower(*lower_.in().cur) == WormRoute::Continue);
-    if (fastPath_) {
-        lower_.out.transmitFast(&lowerRingSource_, &downRespSource_,
-                                &downReqSource_);
-    } else {
-        lower_.out.transmit(&lowerRingSource_, &downRespSource_,
-                            &downReqSource_);
-    }
+    lower_.out.transmit(&lowerRingSource_, &downRespSource_,
+                        &downReqSource_);
 
     // 3. Absorb a continuing latch flit into the lower ring buffer.
     if (lower_.in().cur &&
@@ -261,13 +256,8 @@ RingIri::evaluateUpper()
     upperRingSource_.setLatchIsTransit(
         upper_.in().cur.has_value() &&
         routeUpper(*upper_.in().cur) == WormRoute::Continue);
-    if (fastPath_) {
-        upper_.out.transmitFast(&upperRingSource_, &upRespSource_,
-                                &upReqSource_);
-    } else {
-        upper_.out.transmit(&upperRingSource_, &upRespSource_,
-                            &upReqSource_);
-    }
+    upper_.out.transmit(&upperRingSource_, &upRespSource_,
+                        &upReqSource_);
 
     // 3. Absorb a continuing latch flit into the upper ring buffer.
     if (upper_.in().cur &&

@@ -79,14 +79,7 @@ class RingIri
     /** Commit state owned by the upper ring's clock domain. */
     void commitUpper();
 
-    /**
-     * Select the devirtualized transmit on both sides (default off =
-     * the legacy virtual-source arbitration, the bit-identity
-     * oracle; see DESIGN.md section 12).
-     */
-    void setFastPath(bool enabled) { fastPath_ = enabled; }
-
-    /** Non-head flits both outputs streamed (both paths). */
+    /** Non-head flits both outputs streamed. */
     std::uint64_t streamedFlits() const
     {
         return lower_.out.streamedFlits() +
@@ -286,7 +279,6 @@ class RingIri
     NodeId subtreeLo_;
     NodeId subtreeHi_;
     std::uint32_t waitLimit_;
-    bool fastPath_ = false;
 
     RouteMemo lowerMemo_;
     RouteMemo upperMemo_;

@@ -35,14 +35,29 @@ RingNetwork::RingNetwork(const Params &params)
 
     // Partition IRI upper sides into clock domains: only the upper
     // sides sitting on the root (global) ring may run fast.
+    iriFastUpper_.assign(iris_.size(), 0);
     for (std::size_t i = 0; i < iris_.size(); ++i) {
         const bool on_root =
             structure_.iris[i].parentRing == structure_.rootRing;
         if (on_root && params_.globalRingSpeed > 1)
-            fastIris_.push_back(&iris_[i]);
-        else
-            slowUpperIris_.push_back(&iris_[i]);
+            iriFastUpper_[i] = 1;
     }
+
+    // Bind every side's latch + acceptance flag to its hot-column
+    // slot (layout matches sideFaults_) before the wiring below aims
+    // the upstream outputs at them.
+    const std::size_t pms = nics_.size();
+    hotCol_.resize(pms + 2 * iris_.size());
+    for (std::size_t pm = 0; pm < pms; ++pm)
+        nics_[pm].side().bindColumns(&hotCol_[pm].in,
+                                     &hotCol_[pm].accept);
+    for (std::size_t i = 0; i < iris_.size(); ++i) {
+        RingHot *base = &hotCol_[pms + 2 * i];
+        iris_[i].lower().bindColumns(&base[0].in, &base[0].accept);
+        iris_[i].upper().bindColumns(&base[1].in, &base[1].accept);
+    }
+    nicMask_.reset(nics_.size());
+    iriMask_.reset(iris_.size());
 
     // Utilization groups, one per hierarchy level.
     levelGroups_.resize(static_cast<std::size_t>(structure_.numLevels));
@@ -78,19 +93,6 @@ RingNetwork::RingNetwork(const Params &params)
         }
     }
 
-    // Active-set bookkeeping (used when setActiveScheduling(true);
-    // the wake wiring below is installed unconditionally and is
-    // idempotent-cheap in full-scan mode).
-    activeNics_.reset(nics_.size());
-    activeIris_.reset(iris_.size());
-    iriFastUpper_.assign(iris_.size(), 0);
-    for (std::size_t i = 0; i < iris_.size(); ++i) {
-        const bool on_root =
-            structure_.iris[i].parentRing == structure_.rootRing;
-        if (on_root && params_.globalRingSpeed > 1)
-            iriFastUpper_[i] = 1;
-    }
-
     // Wire each ring: slot i's output feeds slot i+1's latch.
     for (std::size_t r = 0; r < structure_.rings.size(); ++r) {
         const RingDesc &ring = structure_.rings[r];
@@ -104,10 +106,9 @@ RingNetwork::RingNetwork(const Params &params)
             const RingSlotDesc &to_slot = ring.slots[(i + 1) % n];
             RingSide &to = sideAt(to_slot);
             // Staging into the downstream latch must wake its owner.
-            ActiveSet *wake_set =
-                to_slot.kind == RingSlotDesc::Kind::Nic
-                    ? &activeNics_
-                    : &activeIris_;
+            ActiveMask *wake_mask =
+                to_slot.kind == RingSlotDesc::Kind::Nic ? &nicMask_
+                                                        : &iriMask_;
             const auto wake_id =
                 static_cast<std::uint32_t>(to_slot.index);
             const auto link = util_.addLink(
@@ -132,9 +133,10 @@ RingNetwork::RingNetwork(const Params &params)
             from.out.connect(&to.in(), &to.accept(), &util_, link,
                              &occupancy_[r], ring.subtreeLo,
                              ring.subtreeHi, starvation_limit,
-                             &tracer_, trace_node, wake_set, wake_id);
+                             &tracer_, trace_node, wake_mask, wake_id);
         }
     }
+    reseedSchedule();
 }
 
 std::uint64_t
@@ -198,7 +200,7 @@ RingNetwork::inject(NodeId pm, const Packet &pkt)
     if (pkt.dst == broadcastNode)
         fatal("RingNetwork: broadcast requires slotted switching");
     nics_[static_cast<std::size_t>(pm)].inject(pkt);
-    wakeNic(static_cast<std::uint32_t>(pm));
+    nicMask_.add(static_cast<std::uint32_t>(pm));
     if (acct_)
         acct_->injectedFlits += pkt.sizeFlits;
     HRSIM_TRACE_FLIT(tracer_, FlitEvent::Inject, pkt.id, pm,
@@ -208,180 +210,25 @@ RingNetwork::inject(NodeId pm, const Packet &pkt)
 void
 RingNetwork::tick(Cycle now)
 {
-    if (!activeSched_) {
-        tickFullScan(now);
-    } else if (columnar_) {
-        tickColumnar(now);
-    } else {
-        tickActive(now);
-    }
-}
-
-void
-RingNetwork::tickFullScan(Cycle now)
-{
-    // Phase A: acceptance flags from start-of-cycle state.
-    for (RingNic &nic : nics_)
-        nic.computeAcceptance();
-    for (RingIri &iri : iris_)
-        iri.computeAcceptanceLower();
-    for (RingIri *iri : slowUpperIris_)
-        iri->computeAcceptanceUpper();
-
-    // Phase B: system-clock domain.
-    for (RingNic &nic : nics_)
-        nic.evaluate(now);
-    for (RingIri &iri : iris_)
-        iri.evaluateLower();
-    for (RingIri *iri : slowUpperIris_)
-        iri->evaluateUpper();
-
-    // Commit the system-clock domain.
-    for (RingNic &nic : nics_)
-        nic.commit();
-    for (RingIri &iri : iris_)
-        iri.commitLower();
-    for (RingIri *iri : slowUpperIris_)
-        iri->commitUpper();
-
-    // Fast domain: the global ring runs globalRingSpeed sub-cycles.
-    for (std::uint32_t sub = 0; sub < params_.globalRingSpeed; ++sub) {
-        if (fastIris_.empty())
-            break;
-        for (RingIri *iri : fastIris_)
-            iri->computeAcceptanceUpper();
-        for (RingIri *iri : fastIris_)
-            iri->evaluateUpper();
-        for (RingIri *iri : fastIris_)
-            iri->commitUpper();
-    }
-}
-
-void
-RingNetwork::tickActive(Cycle now)
-{
-    // Iteration discipline: a component woken mid-tick (a flit
-    // staged into its latch) was empty at the start of the cycle, so
-    // the phase A/B calls the full scan would have made on it are
-    // provably no-ops — only its end-of-cycle commit matters. Phases
-    // A and B therefore iterate a sorted prefix fixed at tick start
-    // (mid-tick wakes only append, so indices stay stable — no
-    // snapshot copy), in ascending node-id order, reproducing the
-    // full scan's per-category order exactly (occupancy updates and
-    // admission checks interleave identically). Commits touch one
-    // component each with no cross-component reads, so they iterate
-    // the raw wake-order list — covering mid-tick wakes — without
-    // re-sorting.
-    const std::size_t nic_n = activeNics_.orderedPrefix();
-    const std::size_t iri_n = activeIris_.orderedPrefix();
-
-    // Phase A: acceptance flags from start-of-cycle state. NIC
-    // acceptance was already computed at the end of the previous
-    // tick (fused into the commit sweep below): it is a pure
-    // function of latch + transit-buffer state, which cannot change
-    // between the post-commit sweep and this point — injections only
-    // touch the PM output queues, and an asleep NIC rests at
-    // accept = true, exactly what an empty latch computes. IRI
-    // acceptance advances the blocked-worm wait counters, so it must
-    // keep running here, once per cycle.
-    for (std::size_t i = 0; i < iri_n; ++i)
-        iris_[activeIris_.at(i)].computeAcceptanceLower();
-    for (std::size_t i = 0; i < iri_n; ++i) {
-        const std::uint32_t id = activeIris_.at(i);
-        if (!iriFastUpper_[id])
-            iris_[id].computeAcceptanceUpper();
-    }
-
-    // Phase B: system-clock domain.
-    for (std::size_t i = 0; i < nic_n; ++i)
-        nics_[activeNics_.at(i)].evaluate(now);
-    for (std::size_t i = 0; i < iri_n; ++i)
-        iris_[activeIris_.at(i)].evaluateLower();
-    for (std::size_t i = 0; i < iri_n; ++i) {
-        const std::uint32_t id = activeIris_.at(i);
-        if (!iriFastUpper_[id])
-            iris_[id].evaluateUpper();
-    }
-
-    // NIC commit + sleep sweep, fused into one pass over the raw
-    // wake-order list (covering mid-tick wakes). The sweep can run
-    // here, before the fast domain, because nothing later in the
-    // tick can change a NIC's state: the fast domain only touches
-    // IRI upper sides (the root ring carries no NIC slots), and
-    // injections happen outside the network tick.
-    activeNics_.retain([this](std::uint32_t id) {
-        RingNic &nic = nics_[id];
-        nic.commit();
-        if (!nic.empty() || nic.faultPinned()) {
-            // Next tick's phase A, while the NIC is cache-hot.
-            nic.computeAcceptance();
-            return true;
-        }
-        nic.prepareSleep();
-        return false;
-    });
-
-    // Commit the IRIs' system-clock domain, including mid-tick
-    // wakes. Their sleep sweep must wait for the fast domain below.
-    for (const std::uint32_t id : activeIris_.raw()) {
-        iris_[id].commitLower();
-        if (!iriFastUpper_[id])
-            iris_[id].commitUpper();
-    }
-
-    // Fast domain: the global ring runs globalRingSpeed sub-cycles.
-    // Wakes can also happen between sub-cycles (an upper-side
-    // transmit stages into the next IRI's upper latch), so the awake
-    // fast prefix is re-established per sub-cycle and the commit pass
-    // again reads the raw list.
-    if (!fastIris_.empty()) {
-        for (std::uint32_t sub = 0; sub < params_.globalRingSpeed;
-             ++sub) {
-            const std::size_t fast_n = activeIris_.orderedPrefix();
-            for (std::size_t i = 0; i < fast_n; ++i) {
-                const std::uint32_t id = activeIris_.at(i);
-                if (iriFastUpper_[id])
-                    iris_[id].computeAcceptanceUpper();
-            }
-            for (std::size_t i = 0; i < fast_n; ++i) {
-                const std::uint32_t id = activeIris_.at(i);
-                if (iriFastUpper_[id])
-                    iris_[id].evaluateUpper();
-            }
-            for (const std::uint32_t id : activeIris_.raw()) {
-                if (iriFastUpper_[id])
-                    iris_[id].commitUpper();
-            }
-        }
-    }
-
-    // IRI sleep sweep: drained IRIs leave the set until a flit wakes
-    // them again (the NIC sweep already ran, fused with commit).
-    activeIris_.retain([this](std::uint32_t id) {
-        if (!iris_[id].empty() || iris_[id].faultPinned())
-            return true;
-        iris_[id].prepareSleep();
-        return false;
-    });
-}
-
-void
-RingNetwork::tickColumnar(Cycle now)
-{
-    // The columnar engine replaces the ActiveSet prefix/raw walks of
-    // tickActive() with live ascending-id scans of two-level bitmap
-    // masks (sim/columns.hh). Soundness relies on the same facts the
-    // ActiveSet argument uses — a component woken mid-tick was empty
-    // (asleep <=> empty) and staged flits stay invisible until
-    // commit, so an extra visit of a woken component is a no-op (its
-    // quiescent early-out fires), while a skipped visit matches the
-    // orderedPrefix behaviour. Either way the scan is byte-identical
-    // to the full scan; see DESIGN.md section 14.
+    // Only awake components are visited, each scan a live
+    // ascending-id walk of a two-level bitmap (sim/columns.hh). A
+    // component woken mid-tick (a flit staged into its latch) was
+    // empty (asleep <=> empty) and staged flits stay invisible until
+    // commit, so an extra visit of a woken component later in the
+    // same scan is a no-op (its quiescent early-out fires), and a
+    // missed one loses nothing; only its end-of-cycle commit
+    // matters, and every commit scan sees the live set. See DESIGN.md
+    // section 10.
 
     // Phase A: acceptance flags from start-of-cycle state. No wakes
-    // happen here (no flits move), so the live scan equals the
-    // start-of-phase membership. NIC acceptance is fused into the
-    // commit sweep below, exactly as in tickActive().
+    // happen here (no flits move). NIC acceptance was already
+    // computed at the end of the previous tick (fused into the commit
+    // sweep below): it is a pure function of latch + transit-buffer
+    // state, which cannot change between the post-commit sweep and
+    // this point — injections only touch the PM output queues, and an
+    // asleep NIC rests at accept = true, exactly what an empty latch
+    // computes. IRI acceptance advances the blocked-worm wait
+    // counters, so it must keep running here, once per cycle.
     iriMask_.forEach([this](std::uint32_t id) {
         iris_[id].computeAcceptanceLower();
     });
@@ -391,8 +238,7 @@ RingNetwork::tickColumnar(Cycle now)
     });
 
     // Phase B: system-clock domain. Transmits wake downstream
-    // components mid-scan; visited-or-not both reproduce the oracle
-    // (see above).
+    // components mid-scan; visited-or-not is immaterial (see above).
     nicMask_.forEach(
         [this, now](std::uint32_t id) { nics_[id].evaluate(now); });
     iriMask_.forEach(
@@ -402,8 +248,12 @@ RingNetwork::tickColumnar(Cycle now)
             iris_[id].evaluateUpper();
     });
 
-    // NIC commit + sleep sweep, fused as in tickActive(). The live
-    // scan covers mid-tick wakes (their bits are already set).
+    // NIC commit + sleep sweep, fused into one pass (covering
+    // mid-tick wakes, whose bits are already set). The sweep can run
+    // here, before the fast domain, because nothing later in the tick
+    // can change a NIC's state: the fast domain only touches IRI
+    // upper sides (the root ring carries no NIC slots), and
+    // injections happen outside the network tick.
     nicMask_.retain([this](std::uint32_t id) {
         RingNic &nic = nics_[id];
         nic.commit();
@@ -417,7 +267,8 @@ RingNetwork::tickColumnar(Cycle now)
     });
 
     // Commit the IRIs' system-clock domain (commits touch one
-    // component each, so ascending id order replaces wake order).
+    // component each, so their order is immaterial). Their sleep
+    // sweep must wait for the fast domain below.
     iriMask_.forEach([this](std::uint32_t id) {
         iris_[id].commitLower();
         if (!iriFastUpper_[id])
@@ -426,7 +277,7 @@ RingNetwork::tickColumnar(Cycle now)
 
     // Fast domain: the global ring runs globalRingSpeed sub-cycles;
     // each pass is a fresh live scan, covering inter-sub-cycle wakes.
-    if (!fastIris_.empty()) {
+    if (params_.globalRingSpeed > 1) {
         for (std::uint32_t sub = 0; sub < params_.globalRingSpeed;
              ++sub) {
             iriMask_.forEach([this](std::uint32_t id) {
@@ -454,53 +305,15 @@ RingNetwork::tickColumnar(Cycle now)
 }
 
 void
-RingNetwork::setColumnar(bool enabled)
+RingNetwork::reseedSchedule()
 {
-    columnar_ = enabled;
-    if (!enabled)
-        return; // HRSIM_NO_COLUMNAR oracle: in-object layout + sets
-    const std::size_t num_pms = nics_.size();
-    hotCol_.resize(num_pms + 2 * iris_.size());
     nicMask_.reset(nics_.size());
     iriMask_.reset(iris_.size());
-    // Hoist every side's latch + acceptance flag into the column
-    // (slot layout matches sideFaults_), then re-aim each upstream
-    // output at the hoisted pair and route its wakes into the masks.
-    for (std::size_t pm = 0; pm < num_pms; ++pm)
-        nics_[pm].side().bindColumns(&hotCol_[pm].in,
-                                     &hotCol_[pm].accept);
-    for (std::size_t i = 0; i < iris_.size(); ++i) {
-        RingHot *base = &hotCol_[num_pms + 2 * i];
-        iris_[i].lower().bindColumns(&base[0].in, &base[0].accept);
-        iris_[i].upper().bindColumns(&base[1].in, &base[1].accept);
-    }
-    for (const RingDesc &ring : structure_.rings) {
-        const std::size_t n = ring.slots.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            RingSide &from = sideAt(ring.slots[i]);
-            const RingSlotDesc &to_slot = ring.slots[(i + 1) % n];
-            RingSide &to = sideAt(to_slot);
-            from.out.repoint(&to.in(), &to.accept());
-            from.out.setWakeMask(
-                to_slot.kind == RingSlotDesc::Kind::Nic ? &nicMask_
-                                                        : &iriMask_);
-        }
-    }
-}
-
-void
-RingNetwork::setActiveScheduling(bool enabled)
-{
-    activeSched_ = enabled;
-    if (!enabled)
-        return;
-    // Establish the invariant "asleep <=> empty": wake everything
-    // holding flits, put everything else into its rest state.
     for (std::size_t i = 0; i < nics_.size(); ++i) {
         if (nics_[i].flitCount() != 0 || nics_[i].faultPinned()) {
-            wakeNic(static_cast<std::uint32_t>(i));
-            // The active tick expects NIC acceptance one tick ahead
-            // (fused into the commit sweep); seed it here.
+            nicMask_.add(static_cast<std::uint32_t>(i));
+            // The tick expects NIC acceptance one tick ahead (fused
+            // into the commit sweep); seed it here.
             nics_[i].computeAcceptance();
         } else {
             nics_[i].prepareSleep();
@@ -508,38 +321,22 @@ RingNetwork::setActiveScheduling(bool enabled)
     }
     for (std::size_t i = 0; i < iris_.size(); ++i) {
         if (iris_[i].flitCount() != 0 || iris_[i].faultPinned())
-            wakeIri(static_cast<std::uint32_t>(i));
+            iriMask_.add(static_cast<std::uint32_t>(i));
         else
             iris_[i].prepareSleep();
     }
 }
 
-void
-RingNetwork::setFastPath(bool enabled)
-{
-    fastPath_ = enabled;
-    for (RingNic &nic : nics_)
-        nic.setFastPath(enabled);
-    for (RingIri &iri : iris_)
-        iri.setFastPath(enabled);
-}
-
 bool
 RingNetwork::isIdle() const
 {
-    if (!activeSched_)
-        return flitsInFlight() == 0;
-    if (columnar_)
-        return nicMask_.empty() && iriMask_.empty();
-    return activeNics_.empty() && activeIris_.empty();
+    return nicMask_.empty() && iriMask_.empty();
 }
 
 std::size_t
 RingNetwork::activeNodeCount() const
 {
-    if (columnar_)
-        return nicMask_.size() + iriMask_.size();
-    return activeNics_.size() + activeIris_.size();
+    return nicMask_.size() + iriMask_.size();
 }
 
 std::uint64_t
@@ -569,23 +366,18 @@ RingNetwork::registerMetrics(MetricRegistry &registry) const
             "ring.l" + std::to_string(level) + ".util",
             [this, level]() { return levelUtilization(level); });
     }
-    if (fastPath_) {
-        // Registered only when the fast path is on (the PR 3 sched.*
-        // convention), so metric artifacts stay byte-identical under
-        // HRSIM_NO_FASTPATH — the counts are mode-independent.
-        registry.addGauge("nic.streamed_flits", [this]() {
-            std::uint64_t total = 0;
-            for (const RingNic &nic : nics_)
-                total += nic.streamedFlits();
-            return static_cast<double>(total);
-        });
-        registry.addGauge("iri.streamed_flits", [this]() {
-            std::uint64_t total = 0;
-            for (const RingIri &iri : iris_)
-                total += iri.streamedFlits();
-            return static_cast<double>(total);
-        });
-    }
+    registry.addGauge("nic.streamed_flits", [this]() {
+        std::uint64_t total = 0;
+        for (const RingNic &nic : nics_)
+            total += nic.streamedFlits();
+        return static_cast<double>(total);
+    });
+    registry.addGauge("iri.streamed_flits", [this]() {
+        std::uint64_t total = 0;
+        for (const RingIri &iri : iris_)
+            total += iri.streamedFlits();
+        return static_cast<double>(total);
+    });
     for (std::size_t i = 0; i < iris_.size(); ++i) {
         // An IRI is named by the hierarchy level of its parent ring
         // (the ring its upper side sits on): the IRIs hanging off the
@@ -663,8 +455,8 @@ RingNetwork::loadState(CkptReader &r)
         loadRingSideFaults(r, faults);
     // Membership is derived: wake everything holding flits (or
     // fault-pinned), rest everything else — the same invariant the
-    // scheduling switch establishes, and a no-op in full-scan mode.
-    setActiveScheduling(activeSched_);
+    // constructor establishes.
+    reseedSchedule();
 }
 
 bool
@@ -726,15 +518,15 @@ RingNetwork::applyFault(const FaultEvent &event, bool active)
     // output starts draining, deactivation so frozen traffic moves
     // again.
     if (target.kind == FaultTargetKind::RingNic) {
-        wakeNic(static_cast<std::uint32_t>(target.id));
-        // The active tick computes NIC acceptance at the end of the
-        // previous cycle (fused into the commit sweep), before this
-        // edge existed; recompute so the flag matches what the full
-        // scan's phase A would publish this cycle. (IRI acceptance
-        // runs every tick for awake IRIs, so waking is enough.)
+        nicMask_.add(static_cast<std::uint32_t>(target.id));
+        // The tick computes NIC acceptance at the end of the previous
+        // cycle (fused into the commit sweep), before this edge
+        // existed; recompute so the flag reflects the edge this
+        // cycle. (IRI acceptance runs every tick for awake IRIs, so
+        // waking is enough.)
         nics_[static_cast<std::size_t>(target.id)].computeAcceptance();
     } else {
-        wakeIri(static_cast<std::uint32_t>(target.id));
+        iriMask_.add(static_cast<std::uint32_t>(target.id));
     }
 }
 

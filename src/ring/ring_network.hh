@@ -10,14 +10,13 @@
  * committed once per sub-cycle, with their up/down queues acting as
  * the clock-domain crossing.
  *
- * With setActiveScheduling(true) the network ticks only awake
- * components (those holding at least one flit) from two ActiveSets —
- * one for NICs, one for IRIs — iterated in node-id order so the
- * per-category evaluation order of the full scan is preserved
- * exactly. Handing a flit to a sleeping neighbor wakes it (wired via
+ * The network ticks only awake components (those holding at least
+ * one flit, or pinned by a stall fault), held in two ActiveMask
+ * bitmaps — one for NICs, one for IRIs — scanned in node-id order.
+ * Handing a flit to a sleeping neighbor wakes it (wired via
  * RingOutput::connect); a component goes back to sleep in the
- * end-of-tick sweep once it drains. Results are bit-identical to the
- * full scan — see DESIGN.md section 10 for the invariants.
+ * end-of-tick sweep once it drains. See DESIGN.md section 10 for the
+ * invariants that make skipping asleep components invisible.
  */
 
 #ifndef HRSIM_RING_RING_NETWORK_HH
@@ -76,9 +75,6 @@ class RingNetwork : public Network
     }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
-    void setActiveScheduling(bool enabled) override;
-    void setFastPath(bool enabled) override;
-    void setColumnar(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
     bool faultTargetValid(const FaultTarget &target) const override;
@@ -89,9 +85,9 @@ class RingNetwork : public Network
      * Checkpoint hooks (tick boundary). The snapshot carries only
      * authoritative content — ring occupancies, every component's
      * flit buffers and worm state, the fault planes when a plan is
-     * live; active-set/mask membership is derived (asleep <=> empty,
-     * + fault pins), so the load ends with the same scheduling sweep
-     * setActiveScheduling() runs, which also reseeds NIC acceptance
+     * live; active-mask membership is derived (asleep <=> empty,
+     * + fault pins), so the load ends with the same scheduling
+     * reseed the constructor runs, which also restores NIC acceptance
      * and rest state exactly as an uninterrupted run would hold them.
      */
     bool checkpointSupported() const override { return true; }
@@ -126,33 +122,12 @@ class RingNetwork : public Network
     /** The side occupying a slot of a ring. */
     RingSide &sideAt(const RingSlotDesc &slot);
 
-    /** Full-scan tick (legacy path, also the bit-identity oracle). */
-    void tickFullScan(Cycle now);
-
-    /** Active-set tick: only awake components are visited. */
-    void tickActive(Cycle now);
-
-    /** Columnar tick: bitmap masks over hoisted hot columns. */
-    void tickColumnar(Cycle now);
-
-    /** Wake a component in whichever scheduler structure is live. */
-    void
-    wakeNic(std::uint32_t id)
-    {
-        if (columnar_)
-            nicMask_.add(id);
-        else
-            activeNics_.add(id);
-    }
-
-    void
-    wakeIri(std::uint32_t id)
-    {
-        if (columnar_)
-            iriMask_.add(id);
-        else
-            activeIris_.add(id);
-    }
+    /**
+     * Establish the invariant "asleep <=> empty": wake every
+     * component holding flits (or fault-pinned), put every other one
+     * into its rest state.
+     */
+    void reseedSchedule();
 
     Params params_;
     RingStructure structure_;
@@ -169,22 +144,9 @@ class RingNetwork : public Network
     UtilizationTracker util_;
     std::vector<UtilizationTracker::GroupId> levelGroups_;
 
-    /** IRIs whose upper side belongs to the fast (global) domain. */
-    std::vector<RingIri *> fastIris_;
-    /** IRIs whose upper side runs at the system clock. */
-    std::vector<RingIri *> slowUpperIris_;
-
-    bool fastPath_ = false;
-
-    // Active-set scheduler state (setActiveScheduling).
-    bool activeSched_ = false;
-    ActiveSet activeNics_;
-    ActiveSet activeIris_;
-
-    // Columnar engine state (setColumnar; see sim/columns.hh). The
-    // hot column holds every ring attachment point's input latch +
-    // acceptance flag in one contiguous array — the whole inter-node
-    // communication fabric of the network — indexed like
+    // The hot column holds every ring attachment point's input latch
+    // + acceptance flag in one contiguous array — the whole
+    // inter-node communication fabric of the network — indexed like
     // sideFaults_: NIC pm at [pm], IRI i's lower/upper sides at
     // [P + 2i] / [P + 2i + 1].
     struct RingHot
@@ -192,8 +154,8 @@ class RingNetwork : public Network
         RingLatch in;
         bool accept = false;
     };
-    bool columnar_ = false;
     std::vector<RingHot> hotCol_;
+    /** Awake NICs / IRIs (see sim/columns.hh). */
     ActiveMask nicMask_;
     ActiveMask iriMask_;
     /** Per-IRI flag: upper side in the fast (global) domain. */

@@ -72,12 +72,7 @@ RingNic::evaluate(Cycle now)
     //    then requests.
     ringSource_.setLatchIsTransit(side_.in().cur.has_value() &&
                                   isTransit(*side_.in().cur));
-    if (fastPath_) {
-        side_.out.transmitFast(&ringSource_, &respSource_,
-                               &reqSource_);
-    } else {
-        side_.out.transmit(&ringSource_, &respSource_, &reqSource_);
-    }
+    side_.out.transmit(&ringSource_, &respSource_, &reqSource_);
 
     // 3. Absorb a still-latched transit flit into the ring buffer so
     //    the latch honours the acceptance we advertised.

@@ -67,14 +67,7 @@ class RingNic
     /** End-of-cycle commit of all NIC state. */
     void commit();
 
-    /**
-     * Select the devirtualized transmit with lazy admission probes
-     * (default off = the legacy virtual-source arbitration, the
-     * bit-identity oracle; see DESIGN.md section 12).
-     */
-    void setFastPath(bool enabled) { fastPath_ = enabled; }
-
-    /** Non-head flits this NIC's output streamed (both paths). */
+    /** Non-head flits this NIC's output streamed. */
     std::uint64_t streamedFlits() const
     {
         return side_.out.streamedFlits();
@@ -120,10 +113,10 @@ class RingNic
 
     /**
      * Put the (empty) NIC into its sleeping rest state: the same
-     * state a full computeAcceptance/evaluate scan would leave an
-     * empty NIC in every cycle, so skipping its ticks while asleep is
+     * state a computeAcceptance/evaluate pass would leave an empty
+     * NIC in every cycle, so skipping its ticks while asleep is
      * invisible. Called by the network's end-of-tick sleep sweep and
-     * when active scheduling is switched on.
+     * by its schedule reseed (construction, checkpoint load).
      */
     void
     prepareSleep()
@@ -163,7 +156,6 @@ class RingNic
 
     NodeId pm_;
     bool bypass_;
-    bool fastPath_ = false;
     RingSide side_;
 
     StagedFifo<Flit> outResp_;

@@ -30,7 +30,6 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
-#include "sim/active_set.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -231,33 +230,25 @@ loadRingSideFaults(CkptReader &r, RingSideFaults &f)
 }
 
 /**
- * An abstract supplier of the next flit for an output port. The
+ * Flit supplier over a staged FIFO (PM queues, up/down queues): the
  * wormhole arbiter peeks sources in priority order and consumes from
- * the winner.
+ * the winner. RingOutput::transmit() is templated on the concrete
+ * source types, so the peeks inline.
  */
-class FlitSource
-{
-  public:
-    virtual ~FlitSource() = default;
-    /** Next available flit, or nullptr if none this cycle. */
-    virtual const Flit *peek() const = 0;
-    /** Remove and return the peeked flit. */
-    virtual Flit consume() = 0;
-};
-
-/** FlitSource view over a staged FIFO (PM queues, up/down queues). */
-class QueueSource final : public FlitSource
+class QueueSource
 {
   public:
     explicit QueueSource(StagedFifo<Flit> &queue) : queue_(queue) {}
 
+    /** Next available flit, or nullptr if none this cycle. */
     const Flit *
-    peek() const override
+    peek() const
     {
         return queue_.empty() ? nullptr : &queue_.front();
     }
 
-    Flit consume() override { return queue_.pop(); }
+    /** Remove and return the peeked flit. */
+    Flit consume() { return queue_.pop(); }
 
   private:
     StagedFifo<Flit> &queue_;
@@ -272,23 +263,22 @@ class RingOutput
   public:
     /**
      * Wire to the downstream neighbor (done once at build time).
-     * @a tracer_slot points at the owning network's tracer pointer
-     * (may be null when tracing is unused) and @a trace_node names
-     * this link's driver in trace events: the PM id for NIC outputs,
+     * @a latch / @a accept_flag are the downstream side's slot in the
+     * network's hot column. @a tracer_slot points at the owning
+     * network's tracer pointer and @a trace_node names this link's
+     * driver in trace events: the PM id for NIC outputs,
      * -(2*iri+1) / -(2*iri+2) for IRI lower/upper sides.
-     * @a wake_set / @a wake_id name the downstream component in its
-     * network's active set, so staging a flit into a sleeping
-     * neighbor's latch wakes it (nullptr when the owning network has
-     * no active-set scheduler).
+     * @a wake_mask / @a wake_id name the downstream component in its
+     * network's active mask, so staging a flit into a sleeping
+     * neighbor's latch wakes it.
      */
     void
     connect(RingLatch *latch, const bool *accept_flag,
             UtilizationTracker *util, UtilizationTracker::LinkId link,
             RingOccupancy *occupancy, NodeId subtree_lo,
             NodeId subtree_hi, std::uint32_t starvation_limit,
-            FlitTracer *const *tracer_slot = nullptr,
-            NodeId trace_node = invalidNode,
-            ActiveSet *wake_set = nullptr, std::uint32_t wake_id = 0)
+            FlitTracer *const *tracer_slot, NodeId trace_node,
+            ActiveMask *wake_mask, std::uint32_t wake_id)
     {
         downstream_ = latch;
         acceptFlag_ = accept_flag;
@@ -303,25 +293,9 @@ class RingOutput
         starvationLimit_ = starvation_limit;
         tracerSlot_ = tracer_slot;
         traceNode_ = trace_node;
-        wakeSet_ = wake_set;
+        wakeMask_ = wake_mask;
         wakeId_ = wake_id;
     }
-
-    /**
-     * Columnar rebinding (see sim/columns.hh): re-target the
-     * downstream latch/acceptance pair after the network hoisted
-     * them into its columns. Called once at setup, before the first
-     * tick, together with the downstream side's bindColumns().
-     */
-    void
-    repoint(RingLatch *latch, const bool *accept_flag)
-    {
-        downstream_ = latch;
-        acceptFlag_ = accept_flag;
-    }
-
-    /** Route wakes into the columnar bitmap (wins over wakeSet_). */
-    void setWakeMask(ActiveMask *mask) { wakeMask_ = mask; }
 
     /**
      * Attach this output's fault state and the network's shared
@@ -343,8 +317,6 @@ class RingOutput
     /**
      * Flits sent while the link was already held by a worm, i.e.
      * moved without arbitrating the sources (every non-head flit).
-     * A pure function of the simulation history — identical under
-     * transmit() and transmitFast().
      */
     std::uint64_t streamedFlits() const { return streamedFlits_; }
 
@@ -375,14 +347,26 @@ class RingOutput
 
     /**
      * Run one cycle of wormhole transmission. Sources are given in
-     * strict priority order (index 0 wins); a new worm may only start
-     * with a head flit, and an in-progress worm only consumes from
-     * the source that started it.
+     * strict priority order (ring transit, then queue A, then queue
+     * B); a new worm may only start with a head flit, and an
+     * in-progress worm only consumes from the source that started it.
+     *
+     * Queue admission probes run only when they can influence the
+     * outcome (DESIGN.md section 10, "lazy admission probes"):
+     *  - while a worm holds the link, queue admissibility feeds only
+     *    the starvation counter, which is itself unobservable when
+     *    starvationLimit_ == 0 (every NIC output);
+     *  - at a worm boundary with starvationLimit_ == 0, the valve
+     *    can never fire, so nonempty ring transit wins outright and
+     *    the probes are again skipped.
+     * Outputs with a nonzero limit (IRIs) probe on every cycle,
+     * including the starve_ updates.
      *
      * @return true if a flit was transmitted.
      */
+    template <typename RingSrc, typename QA, typename QB>
     bool
-    transmit(FlitSource *ring, FlitSource *queue_a, FlitSource *queue_b)
+    transmit(RingSrc *ring, QA *queue_a, QB *queue_b)
     {
         if (faults_ && (faults_->down != 0 || faults_->killing)) {
             faultCycle(ring, queue_a, queue_b);
@@ -392,113 +376,6 @@ class RingOutput
         // Bubble flow control keeps one free max-packet slot so the
         // ring always rotates; the phase gate additionally reserves a
         // share for down-phase (self-draining) traffic.
-        const auto admissible = [this](const FlitSource *src) {
-            const Flit *head = src ? src->peek() : nullptr;
-            if (!head || !head->isHead())
-                return false;
-            const bool down_phase =
-                head->dst >= subtreeLo_ && head->dst < subtreeHi_;
-            return down_phase
-                       ? occupancy_->canAdmitDown(head->sizeFlits)
-                       : occupancy_->canAdmitUp(head->sizeFlits);
-        };
-        const bool queue_ready =
-            admissible(queue_a) || admissible(queue_b);
-
-        FlitSource *source = nullptr;
-        RingSource kind = RingSource::None;
-        if (inWorm_) {
-            if (wormSrc_ == RingSource::RingTransit && queue_ready)
-                ++starve_;
-            kind = wormSrc_;
-            source = sourceFor(kind, ring, queue_a, queue_b);
-            const Flit *next = source->peek();
-            if (!next)
-                return false; // worm starved: link held, idle cycle
-            HRSIM_ASSERT(next->packet == wormPkt_);
-        } else {
-            // Same-ring traffic has priority (the paper's rule), but
-            // a queue blocked by an unbroken transit stream for too
-            // long wins the next worm boundary. Without this escape
-            // valve, worms recirculating on a saturated ring starve
-            // the inter-ring queues forever and the hierarchy
-            // livelocks; with it, starvation is bounded and strict
-            // priority still holds at every normal operating point.
-            const bool starved =
-                starvationLimit_ > 0 && starve_ >= starvationLimit_;
-            if (ring && ring->peek() && !(starved && queue_ready)) {
-                if (queue_ready)
-                    ++starve_;
-                source = ring;
-                kind = RingSource::RingTransit;
-            } else if (admissible(queue_a)) {
-                source = queue_a;
-                kind = RingSource::QueueA;
-                starve_ = 0;
-            } else if (admissible(queue_b)) {
-                source = queue_b;
-                kind = RingSource::QueueB;
-                starve_ = 0;
-            } else {
-                return false;
-            }
-            HRSIM_ASSERT(source->peek()->isHead());
-        }
-        if (!downstreamAccepts())
-            return false;
-        HRSIM_ASSERT(!downstream_->staged);
-        if (!inWorm_ && kind != RingSource::RingTransit) {
-            // Reserve the whole packet's slots up front; they are
-            // released one by one as its flits leave the ring.
-            occupancy_->add(source->peek()->sizeFlits);
-        }
-        Flit flit = source->consume();
-        if (faults_)
-            stampPoison(flit);
-        downstream_->staged = flit;
-        wake(); // wake a sleeping neighbor
-        if (*utilMeasuring_)
-            ++*utilCounter_;
-        HRSIM_TRACE_FLIT(
-            tracerSlot_ ? *tracerSlot_ : nullptr, FlitEvent::Hop,
-            flit.packet, traceNode_,
-            static_cast<std::uint64_t>(occupancy_->occupied));
-        streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
-        if (flit.isTail()) {
-            inWorm_ = false;
-            wormSrc_ = RingSource::None;
-        } else {
-            inWorm_ = true;
-            wormSrc_ = kind;
-            wormPkt_ = flit.packet;
-        }
-        return true;
-    }
-
-    /**
-     * transmit() specialized on the concrete source types so the
-     * peeks inline, with the queue admission probes evaluated only
-     * when they can influence the outcome. Same results by
-     * construction (DESIGN.md section 12):
-     *  - while a worm holds the link, queue admissibility feeds only
-     *    the starvation counter, which is itself unobservable when
-     *    starvationLimit_ == 0 (every NIC output);
-     *  - at a worm boundary with starvationLimit_ == 0, the valve
-     *    can never fire, so nonempty ring transit wins outright and
-     *    the probes are again skipped.
-     * Outputs with a nonzero limit (IRIs) keep the legacy probe
-     * order bit for bit, including the starve_ updates.
-     */
-    template <typename RingSrc, typename QA, typename QB>
-    bool
-    transmitFast(RingSrc *ring, QA *queue_a, QB *queue_b)
-    {
-        if (faults_ && (faults_->down != 0 || faults_->killing)) {
-            // Cold path, shared with transmit(): fast and legacy
-            // transmits stay bit-identical under faults for free.
-            faultCycle(ring, queue_a, queue_b);
-            return false;
-        }
         const auto admissible = [this](const auto *src) {
             const Flit *head = src->peek();
             if (!head || !head->isHead())
@@ -512,10 +389,9 @@ class RingOutput
 
         if (inWorm_) {
             if (wormSrc_ == RingSource::RingTransit) {
-                // Legacy increments starve_ here whenever a queue is
-                // ready; with limit == 0 the counter is dead state,
-                // so the probes are skipped and starve_ may lag —
-                // never read, never traced (see DESIGN.md 12).
+                // With limit == 0 the starvation counter is dead
+                // state, so the probes are skipped and starve_ may
+                // lag — never read, never traced.
                 if (starvationLimit_ > 0 &&
                     (admissible(queue_a) || admissible(queue_b)))
                     ++starve_;
@@ -538,9 +414,15 @@ class RingOutput
             return sendFrom(queue_b, RingSource::QueueB, false);
         }
 
-        // Worm boundary. With no starvation valve, transit strictly
-        // wins and the admission probes only run once the ring side
-        // is known to be empty.
+        // Worm boundary. Same-ring traffic has priority (the paper's
+        // rule), but a queue blocked by an unbroken transit stream for
+        // too long wins the next worm boundary. Without this escape
+        // valve, worms recirculating on a saturated ring starve the
+        // inter-ring queues forever and the hierarchy livelocks; with
+        // it, starvation is bounded and strict priority still holds
+        // at every normal operating point. With no valve, transit
+        // strictly wins and the admission probes only run once the
+        // ring side is known to be empty.
         if (starvationLimit_ == 0) {
             if (ring->peek() != nullptr) {
                 HRSIM_ASSERT(ring->peek()->isHead());
@@ -574,8 +456,7 @@ class RingOutput
     /**
      * Common transmit tail: flow-control check, occupancy
      * reservation for a worm entering the ring, the flit copy into
-     * the downstream latch, and worm-state upkeep. Mirrors the tail
-     * of transmit() exactly.
+     * the downstream latch, and worm-state upkeep.
      */
     template <typename Src>
     bool
@@ -593,7 +474,7 @@ class RingOutput
         if (faults_)
             stampPoison(flit);
         downstream_->staged = flit;
-        wake(); // wake a sleeping neighbor
+        wakeMask_->add(wakeId_); // wake a sleeping neighbor
         if (*utilMeasuring_)
             ++*utilCounter_;
         HRSIM_TRACE_FLIT(
@@ -611,6 +492,7 @@ class RingOutput
         }
         return true;
     }
+
     /**
      * One cycle of a dead output link (cold path, fault runs only).
      * Starts a kill when a worm is caught by the fault — mid-flight
@@ -620,9 +502,9 @@ class RingOutput
      * an in-progress drain by one flit. Queue worms waiting to enter
      * the ring are simply not admitted while the link is down.
      */
+    template <typename RingSrc, typename QA, typename QB>
     void
-    faultCycle(FlitSource *ring, FlitSource *queue_a,
-               FlitSource *queue_b)
+    faultCycle(RingSrc *ring, QA *queue_a, QB *queue_b)
     {
         RingSideFaults &f = *faults_;
         if (!f.killing) {
@@ -637,7 +519,7 @@ class RingOutput
                 f.victim = wormSrc_;
                 if (acct_)
                     ++acct_->droppedWorms;
-            } else if (ring && ring->peek()) {
+            } else if (ring->peek()) {
                 // Worm boundary: the transit worm dies whole. No
                 // token (nothing crossed), so its drops release
                 // their own occupancy shares.
@@ -652,7 +534,19 @@ class RingOutput
                 return; // dead link, nothing to drain
             }
         }
-        killStep(sourceFor(f.victim, ring, queue_a, queue_b));
+        switch (f.victim) {
+          case RingSource::RingTransit:
+            killStep(ring);
+            break;
+          case RingSource::QueueA:
+            killStep(queue_a);
+            break;
+          case RingSource::QueueB:
+            killStep(queue_b);
+            break;
+          default:
+            HRSIM_PANIC("output worm with no source");
+        }
     }
 
     /**
@@ -660,8 +554,9 @@ class RingOutput
      * rate of a live link — so upstream credits keep flowing and the
      * ring behind the fault never wedges.
      */
+    template <typename Src>
     void
-    killStep(FlitSource *source)
+    killStep(Src *source)
     {
         RingSideFaults &f = *faults_;
         const Flit *next = source->peek();
@@ -688,7 +583,7 @@ class RingOutput
             token.poisoned = true;
             source->consume();
             downstream_->staged = token;
-            wake();
+            wakeMask_->add(wakeId_);
             f.tokenSent = true;
             if (was_tail)
                 finishKill();
@@ -743,32 +638,6 @@ class RingOutput
         }
     }
 
-    /** Wake the downstream component in its network's scheduler. */
-    void
-    wake() const
-    {
-        if (wakeMask_)
-            wakeMask_->add(wakeId_); // columnar bitmap engine
-        else if (wakeSet_)
-            wakeSet_->add(wakeId_); // legacy ActiveSet engine
-    }
-
-    FlitSource *
-    sourceFor(RingSource kind, FlitSource *ring, FlitSource *queue_a,
-              FlitSource *queue_b) const
-    {
-        switch (kind) {
-          case RingSource::RingTransit:
-            return ring;
-          case RingSource::QueueA:
-            return queue_a;
-          case RingSource::QueueB:
-            return queue_b;
-          default:
-            HRSIM_PANIC("output worm with no source");
-        }
-    }
-
     RingLatch *downstream_ = nullptr;
     const bool *acceptFlag_ = nullptr;
     const bool *utilMeasuring_ = nullptr;
@@ -778,10 +647,8 @@ class RingOutput
     NodeId subtreeHi_ = 0;
     FlitTracer *const *tracerSlot_ = nullptr;
     NodeId traceNode_ = invalidNode;
-    ActiveSet *wakeSet_ = nullptr; //!< downstream's active set
-    /** Columnar wake target; when set it wins over wakeSet_. */
-    ActiveMask *wakeMask_ = nullptr;
-    std::uint32_t wakeId_ = 0;     //!< downstream's index therein
+    ActiveMask *wakeMask_ = nullptr; //!< downstream's active mask
+    std::uint32_t wakeId_ = 0;       //!< downstream's index therein
     std::uint32_t starvationLimit_ = 0;
     std::uint32_t starve_ = 0; //!< cycles a ready queue was passed over
     std::uint64_t streamedFlits_ = 0;
@@ -800,11 +667,9 @@ class RingOutput
  *
  * The input latch and phase-A acceptance flag are the side's *hot*
  * state: the upstream neighbor's output writes/reads them every
- * cycle. Both are accessed through rebindable handles so the
- * columnar engine (sim/columns.hh) can hoist them into a
- * network-owned column — in()/accept() behave identically in both
- * layouts, only the storage address differs. Default-bound to
- * in-object storage (the HRSIM_NO_COLUMNAR oracle layout).
+ * cycle. Both live in a network-owned column (RingNetwork's hotCol_,
+ * bound once at construction), so the inter-node communication
+ * fabric of a whole network is one contiguous array.
  */
 struct RingSide
 {
@@ -822,16 +687,13 @@ struct RingSide
     bool accept() const { return *accept_; }
 
     /**
-     * Hoist the hot pair into @a latch / @a accept_flag (a network
-     * column slot): the current values move over, then every read
-     * and write goes through the new storage. The caller must also
-     * repoint() the upstream RingOutput at the same slot.
+     * Bind the hot pair to @a latch / @a accept_flag (a network
+     * column slot). Called once at construction, before the upstream
+     * RingOutput is connect()ed to the same slot.
      */
     void
     bindColumns(RingLatch *latch, bool *accept_flag)
     {
-        *latch = *in_;
-        *accept_flag = *accept_;
         in_ = latch;
         accept_ = accept_flag;
     }
@@ -840,9 +702,7 @@ struct RingSide
      * Checkpoint the side's flit contents and output worm state.
      * Tick-boundary precondition: the latch's staged slot is empty
      * (commit ran) and the acceptance flag is derived — the network's
-     * post-load scheduling sweep recomputes it. The handles make this
-     * layout-transparent: columnar and in-object storage serialize
-     * identical bytes.
+     * post-load scheduling sweep recomputes it.
      */
     void
     saveState(CkptWriter &w) const
@@ -863,20 +723,16 @@ struct RingSide
     }
 
   private:
-    RingLatch inLocal_;
-    bool acceptLocal_ = false;
-    RingLatch *in_ = &inLocal_;
-    bool *accept_ = &acceptLocal_;
+    RingLatch *in_ = nullptr;
+    bool *accept_ = nullptr;
 };
 
 /**
- * FlitSource for the same-ring transit stream: the ring buffer
+ * Flit supplier for the same-ring transit stream: the ring buffer
  * drains first (FIFO order), then the latch flit may bypass the
- * buffer entirely when the buffer is empty. The latch is read
- * through the owning side's handle, so column rebinding after
- * construction is transparent.
+ * buffer entirely when the buffer is empty.
  */
-class RingStreamSource final : public FlitSource
+class RingStreamSource
 {
   public:
     explicit RingStreamSource(RingSide &side) : side_(side) {}
@@ -887,8 +743,9 @@ class RingStreamSource final : public FlitSource
     /** Tell the source whether the latch flit is ring transit. */
     void setLatchIsTransit(bool transit) { latchIsTransit_ = transit; }
 
+    /** Next available flit, or nullptr if none this cycle. */
     const Flit *
-    peek() const override
+    peek() const
     {
         if (!side_.transitBuf.empty())
             return &side_.transitBuf.front();
@@ -897,8 +754,9 @@ class RingStreamSource final : public FlitSource
         return nullptr;
     }
 
+    /** Remove and return the peeked flit. */
     Flit
-    consume() override
+    consume()
     {
         if (!side_.transitBuf.empty())
             return side_.transitBuf.pop();

@@ -102,8 +102,7 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
     HRSIM_ASSERT(!downstream->staged);
     if (outgoing) {
         downstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(downstreamComp);
+        wakeMask->add(downstreamComp); // wake a sleeping neighbor
         util.recordTransfer(link);
     }
 }
@@ -226,8 +225,7 @@ SlottedIri::evaluateLower(UtilizationTracker &util,
     HRSIM_ASSERT(!lowerDownstream->staged);
     if (outgoing) {
         lowerDownstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(lowerDownstreamComp);
+        wakeMask->add(lowerDownstreamComp); // wake a sleeping neighbor
         util.recordTransfer(link);
     }
 }
@@ -308,8 +306,7 @@ SlottedIri::evaluateUpper(UtilizationTracker &util,
     HRSIM_ASSERT(!upperDownstream->staged);
     if (outgoing) {
         upperDownstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(upperDownstreamComp);
+        wakeMask->add(upperDownstreamComp); // wake a sleeping neighbor
         util.recordTransfer(link);
     }
 }
@@ -405,9 +402,8 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
             util_.group("ring level " + std::to_string(level));
     }
 
-    // Active-set bookkeeping: one combined component index space,
-    // NICs first, then IRIs. Wake wiring is installed unconditionally
-    // (idempotent-cheap in full-scan mode).
+    // Scheduler bookkeeping: one combined component index space,
+    // NICs first, then IRIs.
     active_.reset(static_cast<std::size_t>(num_pms) + iris_.size());
     iriFast_.assign(iris_.size(), 0);
     for (std::size_t i = 0; i < iris_.size(); ++i) {
@@ -417,9 +413,9 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
         }
     }
     for (SlottedNic &nic : nics_)
-        nic.wakeSet = &active_;
+        nic.wakeMask = &active_;
     for (SlottedIri &iri : iris_)
-        iri.wakeSet = &active_;
+        iri.wakeMask = &active_;
 
     // Wire each ring and build the evaluation schedule.
     for (std::size_t r = 0; r < structure_.rings.size(); ++r) {
@@ -538,46 +534,14 @@ SlottedRingNetwork::tick(Cycle now)
         }
     };
 
-    if (!activeSched_) {
-        for (const Hop &hop : slowHops_)
-            run(hop);
-
-        // Commit the system-clock domain.
-        for (SlottedNic &nic : nics_)
-            nic.commit();
-        for (std::size_t i = 0; i < iris_.size(); ++i) {
-            iris_[i].commitLower();
-            const bool fast =
-                structure_.iris[i].parentRing == structure_.rootRing &&
-                params_.globalRingSpeed > 1;
-            if (!fast)
-                iris_[i].commitUpper();
-        }
-
-        // Fast domain: the global ring rotates speed times per cycle.
-        if (!fastHops_.empty()) {
-            for (std::uint32_t sub = 0;
-                 sub < params_.globalRingSpeed; ++sub) {
-                for (const Hop &hop : fastHops_)
-                    run(hop);
-                for (std::size_t i = 0; i < iris_.size(); ++i) {
-                    if (structure_.iris[i].parentRing ==
-                        structure_.rootRing) {
-                        iris_[i].commitUpper();
-                    }
-                }
-            }
-        }
-        return;
-    }
-
-    // Active path: run the hop schedule in its usual order but skip
-    // components that are asleep (empty — their evaluate is a no-op
-    // and they hold no slot cell that must rotate). A component woken
-    // mid-schedule may see its own hop run later in this pass; the
-    // full scan runs that hop too, on the same empty visible state,
-    // so both paths agree. Commits dispatch over the live set so
-    // mid-tick wakes publish their staged cells.
+    // Run the hop schedule in its usual order but skip components
+    // that are asleep (empty — their evaluate is a no-op and they
+    // hold no slot cell that must rotate). A component woken
+    // mid-schedule may see its own hop run later in this pass, on
+    // the same empty visible state, so running it or not is
+    // immaterial. Commits scan the live mask so mid-tick wakes
+    // publish their staged cells; each commit touches one component,
+    // so id order serves as well as any.
     const auto pms =
         static_cast<std::uint32_t>(structure_.numProcessors());
     for (const Hop &hop : slowHops_) {
@@ -585,7 +549,7 @@ SlottedRingNetwork::tick(Cycle now)
             run(hop);
     }
 
-    for (const std::uint32_t id : active_.raw()) {
+    active_.forEach([this, pms](std::uint32_t id) {
         if (id < pms) {
             nics_[id].commit();
         } else {
@@ -594,7 +558,7 @@ SlottedRingNetwork::tick(Cycle now)
             if (!iriFast_[i])
                 iris_[i].commitUpper();
         }
-    }
+    });
 
     if (!fastHops_.empty()) {
         for (std::uint32_t sub = 0; sub < params_.globalRingSpeed;
@@ -603,10 +567,10 @@ SlottedRingNetwork::tick(Cycle now)
                 if (active_.contains(compOf(hop)))
                     run(hop);
             }
-            for (const std::uint32_t id : active_.raw()) {
+            active_.forEach([this, pms](std::uint32_t id) {
                 if (id >= pms && iriFast_[id - pms])
                     iris_[id - pms].commitUpper();
-            }
+            });
         }
     }
 
@@ -618,30 +582,10 @@ SlottedRingNetwork::tick(Cycle now)
     });
 }
 
-void
-SlottedRingNetwork::setActiveScheduling(bool enabled)
-{
-    activeSched_ = enabled;
-    if (!enabled)
-        return;
-    const auto pms =
-        static_cast<std::uint32_t>(structure_.numProcessors());
-    for (std::uint32_t id = 0; id < pms; ++id) {
-        if (nics_[id].flitCount() != 0)
-            active_.add(id);
-    }
-    for (std::size_t i = 0; i < iris_.size(); ++i) {
-        if (iris_[i].flitCount() != 0)
-            active_.add(pms + static_cast<std::uint32_t>(i));
-    }
-}
-
 bool
 SlottedRingNetwork::isIdle() const
 {
-    if (activeSched_)
-        return active_.empty();
-    return flitsInFlight() == 0;
+    return active_.empty();
 }
 
 std::size_t

@@ -35,7 +35,7 @@
 #include "proto/packet.hh"
 #include "ring/ring_node.hh"
 #include "ring/topology.hh"
-#include "sim/active_set.hh"
+#include "sim/columns.hh"
 #include "sim/network.hh"
 
 namespace hrsim
@@ -86,7 +86,7 @@ class SlottedNic
     SlotPort *downstream = nullptr;
     RingOccupancy *occupancy = nullptr;
     /** Wake wiring: staging downstream wakes that component. */
-    ActiveSet *wakeSet = nullptr;
+    ActiveMask *wakeMask = nullptr;
     std::uint32_t downstreamComp = 0;
 
     std::uint64_t flitCount() const;
@@ -137,7 +137,7 @@ class SlottedIri
     RingOccupancy *lowerOccupancy = nullptr;
     RingOccupancy *upperOccupancy = nullptr;
     /** Wake wiring: staging downstream wakes that component. */
-    ActiveSet *wakeSet = nullptr;
+    ActiveMask *wakeMask = nullptr;
     std::uint32_t lowerDownstreamComp = 0;
     std::uint32_t upperDownstreamComp = 0;
 
@@ -203,7 +203,6 @@ class SlottedRingNetwork : public Network
     }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
-    void setActiveScheduling(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
 
@@ -224,7 +223,7 @@ class SlottedRingNetwork : public Network
     SlotPort &portAt(const RingSlotDesc &slot);
 
     /**
-     * Combined component index for the ActiveSet: NICs are [0, P),
+     * Combined component index for the active mask: NICs are [0, P),
      * IRI i is P + i.
      */
     std::uint32_t compOf(const Hop &hop) const;
@@ -248,12 +247,11 @@ class SlottedRingNetwork : public Network
     std::vector<Hop> slowHops_;
     std::vector<Hop> fastHops_;
 
-    // Active-set scheduler state (setActiveScheduling). One combined
-    // set over NICs and IRIs; hops of sleeping components are skipped
-    // (their evaluate is a no-op on empty state) while the hop order
-    // itself — and therefore slot rotation — is untouched.
-    bool activeSched_ = false;
-    ActiveSet active_;
+    // Scheduler state: one combined mask over NICs and IRIs; hops of
+    // sleeping components are skipped (their evaluate is a no-op on
+    // empty state) while the hop order itself — and therefore slot
+    // rotation — is untouched.
+    ActiveMask active_;
     /** Per-IRI flag: upper side in the fast (global) domain. */
     std::vector<std::uint8_t> iriFast_;
 };

@@ -1,24 +1,16 @@
 /**
  * @file
- * Columnar tick-engine primitives: the HRSIM_NO_COLUMNAR oracle
- * switch and the two-level bitmap active mask.
+ * Tick-engine scheduling primitives: the two-level bitmap active mask
+ * and the mesh routers' hot flag pair.
  *
- * The columnar engine hoists the hot per-cycle state out of the node
- * objects into flat struct-of-arrays owned by the network — ring
- * input latches and acceptance flags (ring_node.hh points RingSide at
- * them), mesh FIFO cursor blocks (FifoState columns bound through
- * StagedFifoView) and the mesh routers' changed/poked flags — so the
- * evaluate/commit phases become linear sweeps over contiguous arrays
- * instead of walks over ~0.5 KB node objects. Node classes keep their
- * cold state and logic and read/write the hot state through the same
- * handles in both modes; only where the bytes live differs.
- *
- * Setting HRSIM_NO_COLUMNAR (any value but "" or "0") keeps the
- * legacy in-object layout and the legacy ActiveSet tick loops alive
- * as a bit-identity oracle, exactly like HRSIM_NO_FASTPATH and
- * HRSIM_FORCE_FULL_SCAN do for their axes; the bit-identity grid in
- * test_active_set.cc crosses all three. The flag is read once at
- * System construction, never on the hot path.
+ * Each network holds its hot per-cycle state in flat struct-of-arrays
+ * columns — ring input latches and acceptance flags (ring_node.hh
+ * points RingSide at them), mesh FIFO cursor blocks (FifoState
+ * columns bound through ColumnFifo) and the mesh routers'
+ * changed/poked flags — so the evaluate/commit phases are linear
+ * sweeps over contiguous arrays instead of walks over node objects.
+ * Node classes keep their cold state and logic and reach the hot
+ * state through handles bound once at network construction.
  */
 
 #ifndef HRSIM_SIM_COLUMNS_HH
@@ -26,23 +18,12 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/log.hh"
 
 namespace hrsim
 {
-
-/** Columnar layout enabled? (HRSIM_NO_COLUMNAR unset/empty/"0") */
-inline bool
-columnarEnabled()
-{
-    const char *no = std::getenv("HRSIM_NO_COLUMNAR");
-    const bool disabled = no != nullptr && no[0] != '\0' &&
-                          !(no[0] == '0' && no[1] == '\0');
-    return !disabled;
-}
 
 /**
  * Two-level 64-bit bitmap over component ids: one leaf bit per id
@@ -51,24 +32,21 @@ columnarEnabled()
  * to summary bit) and the dense one (long runs collapse into full
  * leaf words) — no per-id branch and no member vector to sort.
  *
- * Replaces ActiveSet in the columnar tick loops. The determinism
- * contract differs from ActiveSet's in one deliberate way: there is
- * no wake-order view (raw()) and no start-of-phase prefix — every
- * scan visits the *live* set in ascending id order. That is sound
- * for exactly the places the columnar ticks use it (see DESIGN.md
- * section 14): a component woken mid-phase was asleep, i.e. empty
- * (ring) or provably no-op (mesh), and staged flits stay invisible
- * until commit, so visiting it early is indistinguishable from not
- * visiting it; end-of-cycle commits and sleep sweeps touch one
- * component each, so ascending order replaces wake order freely.
+ * Every scan visits the *live* set in ascending id order; there is
+ * no wake-order view and no start-of-phase prefix. That is sound for
+ * exactly the places the network ticks use it (see DESIGN.md section
+ * 10): a component woken mid-phase was asleep, i.e. empty (ring) or
+ * provably no-op (mesh), and staged flits stay invisible until
+ * commit, so visiting it early is indistinguishable from not visiting
+ * it; end-of-cycle commits and sleep sweeps touch one component each,
+ * so their order is immaterial.
  *
  * forEach() snapshots the summary word per 4096-id block and each
  * 64-id leaf word as it reaches it: bits added into the word being
  * scanned — or into a previously-empty word whose summary bit missed
- * the snapshot — are picked up next cycle (matching
- * ActiveSet::orderedPrefix), while bits added into a still-ahead live
- * word or a later summary block are visited this pass (matching the
- * full scan — a no-op visit).
+ * the snapshot — are picked up next cycle, while bits added into a
+ * still-ahead live word or a later summary block are visited this
+ * pass (a no-op visit).
  */
 class ActiveMask
 {
@@ -179,10 +157,9 @@ class ActiveMask
 };
 
 /**
- * Hot per-router flag pair, hoisted into a network column in
- * columnar mode so the end-of-cycle sleep sweep reads a contiguous
- * array instead of touching every router object (mesh_router.hh
- * holds a pointer defaulting to in-object storage).
+ * Hot per-router flag pair, held in a network column so the
+ * end-of-cycle sleep sweep reads a contiguous array instead of
+ * touching every router object (mesh_router.hh holds a pointer).
  */
 struct RouterFlags
 {

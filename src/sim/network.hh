@@ -71,41 +71,13 @@ class Network : public Checkpointable
     virtual std::uint64_t flitsInFlight() const = 0;
 
     /**
-     * Switch between the active-set scheduler (true) and the legacy
-     * scan-everything tick loop (false, the default). Results are
-     * bit-identical either way (see DESIGN.md section 10); networks
-     * without an active-set implementation ignore the call.
-     */
-    virtual void setActiveScheduling(bool enabled) { (void)enabled; }
-
-    /**
-     * Switch between the worm-streaming fast path (true) and the
-     * legacy straight-line tick code it was derived from (false, the
-     * default — and the HRSIM_NO_FASTPATH oracle). Results are
-     * bit-identical either way (see DESIGN.md section 12); networks
-     * without a fast path ignore the call.
-     */
-    virtual void setFastPath(bool enabled) { (void)enabled; }
-
-    /**
-     * Switch between the columnar tick engine (true) — hot per-cycle
-     * state hoisted into flat struct-of-arrays columns and the active
-     * set held as a two-level bitmap — and the legacy in-object
-     * layout (false, the HRSIM_NO_COLUMNAR oracle). Results are
-     * bit-identical either way (see DESIGN.md section 14); networks
-     * without a columnar engine ignore the call. Must be called
-     * before setActiveScheduling() so wake seeding lands in the
-     * right scheduler structure.
-     */
-    virtual void setColumnar(bool enabled) { (void)enabled; }
-
-    /**
      * True when no component holds any flit, i.e. a tick would move
-     * nothing. O(1) for networks with an active-set scheduler.
+     * nothing. O(1) for networks with an active-mask scheduler (all
+     * three concrete networks).
      */
     virtual bool isIdle() const { return flitsInFlight() == 0; }
 
-    /** Components currently awake (0 when not active-scheduling). */
+    /** Components currently awake in the network's scheduler. */
     virtual std::size_t activeNodeCount() const { return 0; }
 
     /**

@@ -14,8 +14,8 @@
  * closed once, at the run horizon (stopMeasurement). Transfers
  * recorded outside an open window are ignored, so the skip-idle tick
  * scheduler (which never skips a cycle in which any link moves a
- * flit) leaves every utilization figure bit-identical to the legacy
- * every-cycle loop. For mid-run metric snapshots (--metrics-every)
+ * flit) leaves every utilization figure bit-identical to ticking
+ * every cycle. For mid-run metric snapshots (--metrics-every)
  * markSnapshot() provisionally re-times the still-open window so the
  * utilization gauges published through the MetricRegistry (e.g.
  * "ring.l0.util") read values current as of the snapshot cycle;

@@ -203,7 +203,7 @@ Processor::tick(Cycle now)
         ++counters_.blockedCycles;
         if (tryIssue(stalledMiss_, now)) {
             stalled_ = false;
-            // nextMissAt_ went stale while blocked (the legacy loop
+            // nextMissAt_ went stale while blocked (a per-cycle tick
             // draws nothing during a stall); resume the stream from
             // the next cycle, exactly where it would have resumed.
             advanceNextMiss(now + 1);

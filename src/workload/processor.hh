@@ -95,7 +95,7 @@ class Processor : public TrafficSource
      * flight, until a response delivery re-arms it. While unblocked
      * it sleeps until its pre-drawn next miss cycle or the next local
      * completion, whichever is sooner: the per-cycle Bernoulli miss
-     * draws the legacy loop makes are consumed eagerly (see
+     * draws a per-cycle tick would make are consumed eagerly (see
      * advanceNextMiss), so the RNG stream is bit-identical whether or
      * not the intermediate no-op ticks actually run.
      */
@@ -163,8 +163,8 @@ class Processor : public TrafficSource
 
     /**
      * Pre-draw the Bernoulli(C) miss sequence starting at cycle
-     * @a from: consumes exactly the failure draws the legacy
-     * tick-every-cycle loop would make for cycles [from, nextMissAt_)
+     * @a from: consumes exactly the failure draws a tick-every-cycle
+     * loop would make for cycles [from, nextMissAt_)
      * plus the success at nextMissAt_. With C <= 0 no draw ever
      * succeeds (and no dependent draws follow), so the stream
      * position is unobservable and none are consumed.

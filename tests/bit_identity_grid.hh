@@ -57,7 +57,6 @@ bitIdentityGrid()
 {
     NamedConfigs grid;
     const auto add = [&grid](std::string name, SystemConfig cfg) {
-        cfg.sim.idleSkip = true;
         grid.emplace_back(std::move(name), cfg);
     };
 

@@ -10,8 +10,8 @@
  *     have is a ConfigError at System construction, and the slotted
  *     ring rejects fault plans outright.
  *  3. Determinism — a faulted run is a pure function of config +
- *     seed: reruns, the every-cycle driver (idleSkip off) and
- *     parallel sweeps all reproduce it bit for bit.
+ *     seed: reruns and parallel sweeps reproduce it bit for bit (the
+ *     golden corpus pins one faulted ring and one faulted mesh).
  *  4. Empty-plan identity — without fault events no fault state
  *     exists: no fault.* metrics are registered and results are
  *     identical to a config that never mentions the subsystem.
@@ -251,19 +251,10 @@ faultedMesh()
     return cfg;
 }
 
-TEST(FaultDeterminism, RerunsAndEveryCycleDriverAgree)
+TEST(FaultDeterminism, RerunsAgree)
 {
-    for (const SystemConfig &base : {faultedRing(), faultedMesh()}) {
-        const RunResult first = runSystem(base);
-        expectIdentical(first, runSystem(base));
-
-        // The every-cycle driver also disables the network's
-        // active-set scheduling, so this crosses the faulted fast
-        // path against the faulted full scan in-process.
-        SystemConfig legacy = base;
-        legacy.sim.idleSkip = false;
-        expectIdentical(first, runSystem(legacy));
-    }
+    for (const SystemConfig &base : {faultedRing(), faultedMesh()})
+        expectIdentical(runSystem(base), runSystem(base));
 }
 
 TEST(FaultDeterminism, ParallelSweepReproducesSerial)

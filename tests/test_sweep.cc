@@ -1,15 +1,8 @@
 /**
  * @file
- * Sweep-engine and skip-idle regression tests.
- *
- * Two contracts are pinned here:
- *  1. SweepRunner determinism — serial (jobs = 1) and parallel
- *     (jobs = 4) sweeps of a mixed ring/mesh point list produce
- *     bit-identical RunResults, in submission order.
- *  2. Skip-idle invariance — the fast tick scheduler
- *     (sim.idleSkip = true, the default) produces metrics identical
- *     to the legacy every-cycle loop, including the blocked-cycle
- *     counter that the sleep path reconstructs in bulk.
+ * Sweep-engine regression tests: SweepRunner determinism — serial
+ * (jobs = 1) and parallel (jobs = 4) sweeps of a mixed ring/mesh
+ * point list produce bit-identical RunResults, in submission order.
  */
 
 #include <gtest/gtest.h>
@@ -168,45 +161,6 @@ TEST(Sweep, ReseedPointsGivesDistinctStreamsDeterministically)
     EXPECT_NE(a[0].avgLatency, a[1].avgLatency);
     expectIdentical(a[0], b[0]);
     expectIdentical(a[1], b[1]);
-}
-
-TEST(Sweep, IdleSkipMatchesEveryCycleTickLoop)
-{
-    for (SystemConfig cfg : mixedPoints()) {
-        SCOPED_TRACE(cfg.kind == NetworkKind::Mesh
-                         ? "mesh"
-                         : "ring");
-        cfg.sim.idleSkip = true;
-        const RunResult fast = runSystem(cfg);
-        cfg.sim.idleSkip = false;
-        const RunResult legacy = runSystem(cfg);
-        expectIdentical(fast, legacy);
-        // The saturated points must actually exercise the sleep path.
-        EXPECT_GT(fast.samples, 0u);
-    }
-}
-
-TEST(Sweep, IdleSkipPreservesPaperProtocolMetrics)
-{
-    // The paper-conformance suite runs with this protocol; pin that
-    // the fast scheduler leaves its metrics (latency means, sample
-    // counts) unchanged on a heavily blocked configuration.
-    SystemConfig cfg = SystemConfig::ring("12", 128);
-    cfg.workload.outstandingT = 4;
-    cfg.sim.warmupCycles = 3000;
-    cfg.sim.batchCycles = 3000;
-    cfg.sim.numBatches = 3;
-
-    cfg.sim.idleSkip = true;
-    const RunResult fast = runSystem(cfg);
-    cfg.sim.idleSkip = false;
-    const RunResult legacy = runSystem(cfg);
-
-    EXPECT_EQ(fast.avgLatency, legacy.avgLatency);
-    EXPECT_EQ(fast.samples, legacy.samples);
-    EXPECT_EQ(fast.counters.blockedCycles,
-              legacy.counters.blockedCycles);
-    EXPECT_GT(fast.counters.blockedCycles, 0u);
 }
 
 } // namespace

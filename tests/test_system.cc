@@ -49,6 +49,23 @@ TEST(SystemConfig, TickThreadsOtherThanOneRejected)
     EXPECT_NO_THROW(System system(serial));
 }
 
+TEST(SystemConfig, IdleSkipFalseRejected)
+{
+    SystemConfig cfg = SystemConfig::ring("2:4", 32);
+    cfg.sim.idleSkip = false;
+    try {
+        System system(cfg);
+        FAIL() << "idleSkip = false must throw";
+    } catch (const ConfigError &err) {
+        EXPECT_NE(std::string(err.what()).find("idleSkip"),
+                  std::string::npos)
+            << err.what();
+    }
+    SystemConfig mesh = SystemConfig::mesh(2, 32, 4);
+    mesh.sim.idleSkip = false;
+    EXPECT_THROW(System system(mesh), ConfigError);
+}
+
 TEST(System, RequestResponseConservation)
 {
     SystemConfig cfg = SystemConfig::ring("2:4", 32);

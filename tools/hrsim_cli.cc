@@ -14,12 +14,17 @@
  *   hrsim_cli --mesh 4 --trace-flits flits.log --batches 1
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,8 +37,6 @@
 #include "obs/flit_trace.hh"
 #include "obs/manifest.hh"
 #include "obs/metric_sink.hh"
-#include "sim/columns.hh"
-#include "sim/fastpath.hh"
 
 namespace
 {
@@ -144,28 +147,105 @@ usage(const char *argv0)
         argv0);
 }
 
-double
-argDouble(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc)
-        hrsim::fatal(std::string("missing value for ") + argv[i]);
-    return std::atof(argv[++i]);
-}
-
-long
-argLong(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc)
-        hrsim::fatal(std::string("missing value for ") + argv[i]);
-    return std::atol(argv[++i]);
-}
-
 const char *
 argString(int argc, char **argv, int &i)
 {
     if (i + 1 >= argc)
         hrsim::fatal(std::string("missing value for ") + argv[i]);
     return argv[++i];
+}
+
+[[noreturn]] void
+badNumber(const char *flag, const char *text, const char *expected)
+{
+    hrsim::fatal(std::string("bad value for ") + flag + ": '" + text +
+                 "' (expected " + expected + ")");
+}
+
+/**
+ * Numeric flag values must be the whole token: no leading blanks, no
+ * trailing characters ("0.04x", "1e4" for an integer), no empty
+ * string, nothing out of range. Each parser ends in fatal() naming
+ * the flag and the value otherwise.
+ */
+double
+argDouble(int argc, char **argv, int &i)
+{
+    const char *flag = argv[i];
+    const char *text = argString(argc, argv, i);
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || std::isspace(
+            static_cast<unsigned char>(text[0])) ||
+        errno == ERANGE || !std::isfinite(value)) {
+        badNumber(flag, text, "a finite number");
+    }
+    return value;
+}
+
+long
+argLong(int argc, char **argv, int &i)
+{
+    const char *flag = argv[i];
+    const char *text = argString(argc, argv, i);
+    char *end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || std::isspace(
+            static_cast<unsigned char>(text[0])) ||
+        errno == ERANGE) {
+        badNumber(flag, text, "an integer");
+    }
+    return value;
+}
+
+/** argLong() for flags stored in an int field, at least @a min. */
+int
+argInt(int argc, char **argv, int &i, int min)
+{
+    const char *flag = argv[i];
+    const long value = argLong(argc, argv, i);
+    if (value < min || value > std::numeric_limits<int>::max()) {
+        badNumber(flag, argv[i],
+                  ("an integer in [" + std::to_string(min) + ", " +
+                   std::to_string(std::numeric_limits<int>::max()) +
+                   "]")
+                      .c_str());
+    }
+    return static_cast<int>(value);
+}
+
+/**
+ * Integer flag stored in an unsigned field: digits only (a sign would
+ * make strtoull wrap "-1" to 2^64 - 1), at most @a max.
+ */
+std::uint64_t
+argUnsigned(int argc, char **argv, int &i,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const char *flag = argv[i];
+    const char *text = argString(argc, argv, i);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        badNumber(flag, text, "a non-negative integer");
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (*end != '\0')
+        badNumber(flag, text, "a non-negative integer");
+    if (errno == ERANGE || value > max) {
+        badNumber(flag, text,
+                  ("an integer <= " + std::to_string(max)).c_str());
+    }
+    return value;
+}
+
+/** argUnsigned() for flags stored in a 32-bit unsigned field. */
+std::uint32_t
+argU32(int argc, char **argv, int &i)
+{
+    return static_cast<std::uint32_t>(argUnsigned(
+        argc, argv, i, std::numeric_limits<std::uint32_t>::max()));
 }
 
 void
@@ -279,21 +359,18 @@ main(int argc, char **argv)
                 cfg.ringTopo = RingTopology::parse(argv[++i]);
                 have_network = true;
             } else if (!std::strcmp(arg, "--mesh")) {
-                const long w = argLong(argc, argv, i);
+                const int w = argInt(argc, argv, i, 1);
                 label = "mesh " + std::to_string(w) + "x" +
                         std::to_string(w);
                 cfg.kind = NetworkKind::Mesh;
-                cfg.meshWidth = static_cast<int>(w);
+                cfg.meshWidth = w;
                 have_network = true;
             } else if (!std::strcmp(arg, "--line")) {
-                cfg.cacheLineBytes = static_cast<std::uint32_t>(
-                    argLong(argc, argv, i));
+                cfg.cacheLineBytes = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--buffers")) {
-                cfg.meshBufferFlits = static_cast<std::uint32_t>(
-                    argLong(argc, argv, i));
+                cfg.meshBufferFlits = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--speed")) {
-                cfg.globalRingSpeed = static_cast<std::uint32_t>(
-                    argLong(argc, argv, i));
+                cfg.globalRingSpeed = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--slotted")) {
                 cfg.ringSlotted = true;
             } else if (!std::strcmp(arg, "--no-bypass")) {
@@ -303,26 +380,20 @@ main(int argc, char **argv)
             } else if (!std::strcmp(arg, "--c")) {
                 cfg.workload.missRateC = argDouble(argc, argv, i);
             } else if (!std::strcmp(arg, "--t")) {
-                cfg.workload.outstandingT =
-                    static_cast<int>(argLong(argc, argv, i));
+                cfg.workload.outstandingT = argInt(argc, argv, i, 1);
             } else if (!std::strcmp(arg, "--mem")) {
-                cfg.workload.memoryLatency =
-                    static_cast<std::uint32_t>(argLong(argc, argv, i));
+                cfg.workload.memoryLatency = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--pipelined-mem")) {
                 cfg.workload.memorySerialized = false;
             } else if (!std::strcmp(arg, "--warmup")) {
-                cfg.sim.warmupCycles = static_cast<Cycle>(
-                    argLong(argc, argv, i));
+                cfg.sim.warmupCycles = argUnsigned(argc, argv, i);
                 warmup_given = true;
             } else if (!std::strcmp(arg, "--batch")) {
-                cfg.sim.batchCycles = static_cast<Cycle>(
-                    argLong(argc, argv, i));
+                cfg.sim.batchCycles = argUnsigned(argc, argv, i);
             } else if (!std::strcmp(arg, "--batches")) {
-                cfg.sim.numBatches = static_cast<std::uint32_t>(
-                    argLong(argc, argv, i));
+                cfg.sim.numBatches = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--seed")) {
-                cfg.sim.seed = static_cast<std::uint64_t>(
-                    argLong(argc, argv, i));
+                cfg.sim.seed = argUnsigned(argc, argv, i);
                 seed_given = true;
             } else if (!std::strcmp(arg, "--stop-rel-hw")) {
                 cfg.sim.stop.relHw = argDouble(argc, argv, i);
@@ -330,19 +401,16 @@ main(int argc, char **argv)
                     cfg.sim.stop.relHw >= 1.0)
                     fatal("--stop-rel-hw needs a target in (0, 1)");
             } else if (!std::strcmp(arg, "--stop-batch")) {
-                cfg.sim.stop.batchCycles = static_cast<Cycle>(
-                    argLong(argc, argv, i));
+                cfg.sim.stop.batchCycles = argUnsigned(argc, argv, i);
                 stop_knob_given = true;
             } else if (!std::strcmp(arg, "--max-cycles")) {
-                cfg.sim.stop.maxCycles = static_cast<Cycle>(
-                    argLong(argc, argv, i));
+                cfg.sim.stop.maxCycles = argUnsigned(argc, argv, i);
                 stop_knob_given = true;
             } else if (!std::strcmp(arg, "--stop-min-batches")) {
-                const long n = argLong(argc, argv, i);
+                const std::uint32_t n = argU32(argc, argv, i);
                 if (n < 2)
                     fatal("--stop-min-batches needs at least 2");
-                cfg.sim.stop.minBatches =
-                    static_cast<std::uint32_t>(n);
+                cfg.sim.stop.minBatches = n;
                 stop_knob_given = true;
             } else if (!std::strcmp(arg, "--csv")) {
                 csv = true;
@@ -356,8 +424,7 @@ main(int argc, char **argv)
                 metrics_format = argString(argc, argv, i);
                 metrics_format_given = true;
             } else if (!std::strcmp(arg, "--metrics-every")) {
-                cfg.sim.metricsEvery = static_cast<Cycle>(
-                    argLong(argc, argv, i));
+                cfg.sim.metricsEvery = argUnsigned(argc, argv, i);
             } else if (!std::strcmp(arg, "--fault")) {
                 fault_specs.push_back(argString(argc, argv, i));
             } else if (!std::strcmp(arg, "--fault-plan")) {
@@ -375,25 +442,25 @@ main(int argc, char **argv)
             } else if (!std::strcmp(arg, "--save-to")) {
                 cfg.ckpt.savePath = argString(argc, argv, i);
             } else if (!std::strcmp(arg, "--save-at")) {
-                const long n = argLong(argc, argv, i);
+                const Cycle n = argUnsigned(argc, argv, i);
                 if (n < 1)
                     fatal("--save-at needs a cycle >= 1");
-                cfg.ckpt.saveAt = static_cast<Cycle>(n);
+                cfg.ckpt.saveAt = n;
             } else if (!std::strcmp(arg, "--save-every")) {
-                const long n = argLong(argc, argv, i);
+                const Cycle n = argUnsigned(argc, argv, i);
                 if (n < 1)
                     fatal("--save-every needs a period >= 1");
-                cfg.ckpt.saveEvery = static_cast<Cycle>(n);
+                cfg.ckpt.saveEvery = n;
             } else if (!std::strcmp(arg, "--save-stop")) {
                 save_stop = true;
             } else if (!std::strcmp(arg, "--restore")) {
                 cfg.ckpt.restorePath = argString(argc, argv, i);
             } else if (!std::strcmp(arg, "--fork-seed")) {
-                const long n = argLong(argc, argv, i);
+                const std::uint64_t n = argUnsigned(argc, argv, i);
                 if (n < 1)
                     fatal("--fork-seed needs a nonzero seed (0 means "
                           "exact resume; just drop the flag)");
-                cfg.ckpt.forkSeed = static_cast<std::uint64_t>(n);
+                cfg.ckpt.forkSeed = n;
                 fork_seed_given = true;
             } else if (!std::strcmp(arg, "--sweep-dir")) {
                 sweep_dir = argString(argc, argv, i);
@@ -402,10 +469,10 @@ main(int argc, char **argv)
             } else if (!std::strcmp(arg, "--trace-flits")) {
                 trace_path = argString(argc, argv, i);
             } else if (!std::strcmp(arg, "--jobs")) {
-                const long n = argLong(argc, argv, i);
+                const std::uint32_t n = argU32(argc, argv, i);
                 if (n < 1)
                     fatal("--jobs needs a worker count >= 1");
-                jobs = static_cast<unsigned>(n);
+                jobs = n;
                 jobs_given = true;
             } else if (!std::strcmp(arg, "--help") ||
                        !std::strcmp(arg, "-h")) {
@@ -481,26 +548,6 @@ main(int argc, char **argv)
                          "warning: --stop-batch/--max-cycles/"
                          "--stop-min-batches have no effect without "
                          "--stop-rel-hw\n");
-        }
-        if (!metrics_out.empty() && !fastPathEnabled()) {
-            // Results are bit-identical either way, but the legacy
-            // loops are the slow debugging oracle — flag artifacts
-            // produced under it (the manifest also records
-            // fast_path so the file says it itself).
-            std::fprintf(stderr,
-                         "warning: HRSIM_NO_FASTPATH is set; this "
-                         "run uses the legacy (oracle) tick loops "
-                         "and the manifest will record "
-                         "fast_path=false\n");
-        }
-        if (!metrics_out.empty() && !columnarEnabled()) {
-            // Same oracle caveat for the layout axis: the per-node
-            // legacy layout is bit-identical but slow.
-            std::fprintf(stderr,
-                         "warning: HRSIM_NO_COLUMNAR is set; this "
-                         "run uses the legacy per-node hot-state "
-                         "layout and the manifest will record "
-                         "columnar=false\n");
         }
         if (!sweep_kind.empty() || list_sweep) {
             if (sweep_kind.empty())
