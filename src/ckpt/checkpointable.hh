@@ -5,7 +5,7 @@
  * A Checkpointable component can serialize its complete authoritative
  * state into a CkptWriter and later reconstruct it from a CkptReader
  * positioned at the matching offset. The contract (DESIGN.md section
- * 16):
+ * 13):
  *
  *  - Save happens only at a tick boundary (between commit and the
  *    next evaluate), where staged FIFO slots are empty and per-cycle

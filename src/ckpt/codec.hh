@@ -6,7 +6,7 @@
  * of classes, CkptWriter and CkptReader, so the on-disk byte layout
  * is defined in a single place and is independent of host endianness,
  * struct padding, and standard-library container internals. Fields
- * are written in a fixed documented order (DESIGN.md section 16);
+ * are written in a fixed documented order (DESIGN.md section 13);
  * there is no per-field tagging — the schema version in the file
  * header is the only format escape hatch.
  *
@@ -177,6 +177,40 @@ class CkptReader
                       size);
         pos_ += size;
         return s;
+    }
+
+    /**
+     * Element count of a sequence whose elements encode in at least
+     * @a min_bytes each. A count the remaining payload cannot hold
+     * fails here, naming @a field, before any caller sizes an
+     * allocation by it.
+     */
+    std::uint32_t count(const char *field, std::size_t min_bytes)
+    {
+        const std::uint32_t n = u32();
+        if (n > remaining() / min_bytes) {
+            throw CheckpointError(
+                std::string("checkpoint: ") + field + " count " +
+                std::to_string(n) + " exceeds the remaining payload "
+                "(corrupt file)");
+        }
+        return n;
+    }
+
+    /**
+     * One-byte enumeration value in [0, @a last]; a byte above
+     * @a last fails, naming @a field.
+     */
+    template <class E>
+    E enumerant(const char *field, E last)
+    {
+        const std::uint8_t v = u8();
+        if (v > static_cast<std::uint8_t>(last)) {
+            throw CheckpointError(
+                std::string("checkpoint: ") + field + " value " +
+                std::to_string(v) + " out of range (corrupt file)");
+        }
+        return static_cast<E>(v);
     }
 
     bool atEnd() const { return pos_ == buf_.size(); }

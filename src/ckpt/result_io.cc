@@ -32,12 +32,13 @@ void
 loadMetricSamples(CkptReader &r, std::vector<MetricSample> &samples)
 {
     samples.clear();
-    const std::uint32_t count = r.u32();
+    // name length + kind + value + count
+    const std::uint32_t count = r.count("metric sample", 4 + 1 + 8 + 8);
     samples.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         MetricSample sample;
         sample.name = r.str();
-        sample.kind = static_cast<MetricKind>(r.u8());
+        sample.kind = r.enumerant("metric kind", MetricKind::Gauge);
         sample.value = r.f64();
         sample.count = r.u64();
         samples.push_back(std::move(sample));
@@ -60,7 +61,8 @@ loadMetricSnapshots(CkptReader &r,
                     std::vector<MetricSnapshot> &snapshots)
 {
     snapshots.clear();
-    const std::uint32_t count = r.u32();
+    // cycle + sample count
+    const std::uint32_t count = r.count("metric snapshot", 8 + 4);
     snapshots.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         MetricSnapshot snap;
@@ -110,7 +112,7 @@ loadRunResult(CkptReader &r)
     result.latencyP95 = r.f64();
     result.latencyP99 = r.f64();
     result.networkUtilization = r.f64();
-    const std::uint32_t levels = r.u32();
+    const std::uint32_t levels = r.count("ring level", 8);
     result.ringLevelUtilization.reserve(levels);
     for (std::uint32_t i = 0; i < levels; ++i)
         result.ringLevelUtilization.push_back(r.f64());
@@ -122,7 +124,8 @@ loadRunResult(CkptReader &r)
     result.counters.blockedCycles = r.u64();
     result.cycles = r.u64();
     result.throughputPerPm = r.f64();
-    result.stopReason = static_cast<StopReason>(r.u8());
+    result.stopReason =
+        r.enumerant("stop reason", StopReason::Saturated);
     result.relHalfWidth = r.f64();
     result.warmupCycles = r.u64();
     loadMetricSamples(r, result.metrics);

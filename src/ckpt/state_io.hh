@@ -43,7 +43,7 @@ loadPacket(CkptReader &r)
 {
     Packet pkt;
     pkt.id = r.u64();
-    pkt.type = static_cast<PacketType>(r.u8());
+    pkt.type = r.enumerant("packet type", PacketType::WriteResponse);
     pkt.src = r.i32();
     pkt.dst = r.i32();
     pkt.sizeFlits = r.u32();
@@ -76,7 +76,7 @@ loadFlit(CkptReader &r)
     flit.sizeFlits = r.u32();
     flit.dst = r.i32();
     flit.src = r.i32();
-    flit.type = static_cast<PacketType>(r.u8());
+    flit.type = r.enumerant("flit type", PacketType::WriteResponse);
     flit.issueCycle = r.u64();
     flit.reqId = r.u64();
     flit.ttl = r.u16();

@@ -676,7 +676,7 @@ System::saveCheckpoint(const std::string &path) const
             "(slotted ring)");
     }
 
-    // Payload layout (DESIGN.md section 16): simulation-core scalars,
+    // Payload layout (DESIGN.md section 13): simulation-core scalars,
     // measurement machinery, scheduler bookkeeping, workload
     // components, fault state, then the network. The order is frozen
     // by ckptSchemaVersion — extend only by bumping it.
@@ -773,7 +773,7 @@ System::restoreCheckpoint(const std::string &path)
     lastProgress_ = r.u64();
     lastActivity_ = r.u64();
     skippedCycles_ = r.u64();
-    stopReason_ = static_cast<StopReason>(r.u8());
+    stopReason_ = r.enumerant("stop reason", StopReason::Saturated);
 
     counters_.missesGenerated = r.u64();
     counters_.remoteIssued = r.u64();

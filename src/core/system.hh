@@ -115,7 +115,7 @@ struct SimConfig
 StopPolicy resolveStopPolicy(const SimConfig &sim);
 
 /**
- * Checkpoint/restore knobs (src/ckpt/; DESIGN.md section 16). All
+ * Checkpoint/restore knobs (src/ckpt/; DESIGN.md section 13). All
  * fields are process mechanics, not simulation identity: they never
  * enter configKey(), and a run with any combination of them produces
  * (or resumes into) exactly the cycle sequence of a run without them.
@@ -392,7 +392,7 @@ class System
     /** Stop reason code; FixedLength (0) while still running. */
     StopReason stopReason_ = StopReason::FixedLength;
 
-    // Checkpoint/restore state (src/ckpt/; DESIGN.md section 16).
+    // Checkpoint/restore state (src/ckpt/; DESIGN.md section 13).
     /** Adaptive-run controller; a member (not a runAdaptive() local)
      *  so its decision history can travel in snapshots. Created by
      *  runAdaptive() on first use or by restoreCheckpoint(). */

@@ -433,7 +433,7 @@ MeshRouter::loadState(CkptReader &r)
         loadFlitFifo(r, buf);
     loadFlitFifo(r, outResp_);
     loadFlitFifo(r, outReq_);
-    localSrc_ = static_cast<LocalSrc>(r.u8());
+    localSrc_ = r.enumerant("mesh local source", LocalSrc::Req);
     for (int &bound : inputBound_)
         bound = r.i32();
     for (Output &port : out_) {

@@ -126,7 +126,7 @@ class RingIri
         const auto load_memo = [&r](RouteMemo &memo) {
             memo.packet = r.u64();
             memo.valid = r.boolean();
-            memo.route = static_cast<WormRoute>(r.u8());
+            memo.route = r.enumerant("IRI worm route", WormRoute::Wait);
         };
         const auto load_wait = [&r](WaitState &wait) {
             wait.packet = r.u64();

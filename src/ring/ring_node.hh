@@ -175,7 +175,7 @@ enum class RingSource : std::uint8_t
  * flits are already gone.
  *
  * Occupancy conservation under truncation (see DESIGN.md section
- * 13): bubble flow control reserves a whole packet at ring admission
+ * 12): bubble flow control reserves a whole packet at ring admission
  * and releases one slot per flit leaving the ring, so a truncated
  * worm would leak the slots of the flits that died. The terminator
  * token therefore carries the debt in its ttl field (unused outside
@@ -225,7 +225,7 @@ loadRingSideFaults(CkptReader &r, RingSideFaults &f)
     f.killing = r.boolean();
     f.tokenSent = r.boolean();
     f.releaseOnDrop = r.boolean();
-    f.victim = static_cast<RingSource>(r.u8());
+    f.victim = r.enumerant("ring fault victim", RingSource::QueueB);
     f.poisoning = r.boolean();
 }
 
@@ -341,7 +341,7 @@ class RingOutput
         starve_ = r.u32();
         streamedFlits_ = r.u64();
         inWorm_ = r.boolean();
-        wormSrc_ = static_cast<RingSource>(r.u8());
+        wormSrc_ = r.enumerant("ring worm source", RingSource::QueueB);
         wormPkt_ = r.u64();
     }
 

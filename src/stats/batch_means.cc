@@ -171,7 +171,8 @@ BatchMeans::saveState(CkptWriter &w) const
 void
 BatchMeans::loadState(CkptReader &r)
 {
-    const std::uint32_t count = r.u32();
+    // n + mean + m2 + min + max per batch
+    const std::uint32_t count = r.count("batch", 5 * 8);
     batches_.assign(count, RunningStats());
     for (RunningStats &batch : batches_)
         batch.loadState(r);

@@ -227,7 +227,9 @@ RunController::saveState(CkptWriter &w) const
 void
 RunController::loadState(CkptReader &r)
 {
-    const std::uint32_t checkpoints = r.u32();
+    // batch mean + occupancy per checkpoint
+    const std::uint32_t checkpoints =
+        r.count("controller checkpoint", 8 + 8);
     history_.assign(checkpoints, CheckpointStats());
     for (CheckpointStats &stats : history_) {
         stats.batchMean = r.f64();

@@ -37,7 +37,7 @@
  * adaptive run stops at the same cycle with the same stop reason
  * under --jobs 1, --jobs N, and across reruns.
  *
- * Under a fault plan (DESIGN.md section 13) the controller only ever
+ * Under a fault plan (DESIGN.md section 12) the controller only ever
  * sees survivors: dropped and abandoned transactions contribute no
  * latency sample, so the rule converges on the survivors' estimate —
  * hrsim_cli warns about the combination, and degradation studies

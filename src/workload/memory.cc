@@ -53,7 +53,9 @@ MemoryModule::loadState(CkptReader &r)
 {
     busyUntil_ = r.u64();
     pending_.clear();
-    const std::uint32_t count = r.u32();
+    // ready cycle + packet (id, type, src, dst, size, issue, reqId)
+    const std::uint32_t count =
+        r.count("pending response", 8 + 8 + 1 + 4 + 4 + 4 + 8 + 8);
     pending_.reserve(std::max<std::size_t>(count, 1));
     for (std::uint32_t i = 0; i < count; ++i) {
         PendingResponse resp;

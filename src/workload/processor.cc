@@ -265,12 +265,14 @@ Processor::loadState(CkptReader &r)
     lastTick_ = r.u64();
     nextMissAt_ = r.u64();
     localDue_.clear();
-    const std::uint32_t due_count = r.u32();
+    const std::uint32_t due_count = r.count("local due cycle", 8);
     localDue_.reserve(std::max<std::size_t>(due_count, 1));
     for (std::uint32_t i = 0; i < due_count; ++i)
         localDue_.push_back(r.u64());
     txns_.clear();
-    const std::uint32_t txn_count = r.u32();
+    // target + isRead + retries + issue + deadline + id count
+    const std::uint32_t txn_count =
+        r.count("remote transaction", 4 + 1 + 4 + 8 + 8 + 4);
     txns_.reserve(txn_count);
     for (std::uint32_t i = 0; i < txn_count; ++i) {
         RemoteTxn txn;
@@ -279,7 +281,7 @@ Processor::loadState(CkptReader &r)
         txn.retries = r.u32();
         txn.issueCycle = r.u64();
         txn.deadline = r.u64();
-        const std::uint32_t ids = r.u32();
+        const std::uint32_t ids = r.count("transaction id", 8);
         txn.ids.reserve(ids);
         for (std::uint32_t j = 0; j < ids; ++j)
             txn.ids.push_back(r.u64());

@@ -246,7 +246,7 @@ TraceProcessor::loadState(CkptReader &r)
     sleepBlocked_ = r.boolean();
     lastTick_ = r.u64();
     localDue_.clear();
-    const std::uint32_t due_count = r.u32();
+    const std::uint32_t due_count = r.count("local due cycle", 8);
     localDue_.reserve(std::max<std::size_t>(due_count, 1));
     for (std::uint32_t i = 0; i < due_count; ++i)
         localDue_.push_back(r.u64());

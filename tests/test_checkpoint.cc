@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpoint/restore tests (src/ckpt/; DESIGN.md section 16).
+ * Checkpoint/restore tests (src/ckpt/; DESIGN.md section 13).
  *
  * The determinism contract under test: saving never perturbs a run,
  * and restoring a snapshot into a fresh System then running to cycle
@@ -25,6 +25,7 @@
 #include "bit_identity_grid.hh"
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
+#include "ckpt/state_io.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "fault/fault_plan.hh"
@@ -478,6 +479,116 @@ TEST(CheckpointMismatch, OlderSchemaVersionRefusedNamingBoth)
             << what;
         EXPECT_NE(what.find("version 3"), std::string::npos) << what;
     }
+}
+
+// ---------------------------------------------------------------- //
+// Hostile payloads: decoded counts and enums are checked before use
+
+/** Run @a decode over @a payload; it must throw a CheckpointError
+ *  whose message names @a field. */
+template <typename Decode>
+void
+expectRefused(const CkptWriter &payload, Decode decode,
+              const std::string &field)
+{
+    CkptReader r(payload.data());
+    try {
+        decode(r);
+        ADD_FAILURE() << "decoding must refuse the " << field;
+    } catch (const CheckpointError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+}
+
+/** RunResult's fixed fields up to its ring-level count. */
+void
+writeResultPrefix(CkptWriter &w)
+{
+    for (int i = 0; i < 7; ++i)
+        w.u64(0);
+}
+
+TEST(CheckpointHostile, HugeCountsThrowBeforeAllocating)
+{
+    constexpr std::uint32_t huge = 0xFFFFFFFFu;
+    const auto samples = [](CkptReader &r) {
+        std::vector<MetricSample> out;
+        loadMetricSamples(r, out);
+    };
+    const auto snapshots = [](CkptReader &r) {
+        std::vector<MetricSnapshot> out;
+        loadMetricSnapshots(r, out);
+    };
+    const auto result = [](CkptReader &r) { loadRunResult(r); };
+
+    CkptWriter count_only;
+    count_only.u32(huge);
+    expectRefused(count_only, samples, "metric sample count");
+    expectRefused(count_only, snapshots, "metric snapshot count");
+
+    CkptWriter levels;
+    writeResultPrefix(levels);
+    levels.u32(huge);
+    expectRefused(levels, result, "ring level count");
+
+    // A sane RunResult whose nested metric list claims 2^32 - 1
+    // entries.
+    CkptWriter nested;
+    writeResultPrefix(nested);
+    nested.u32(0); // ring levels
+    for (int i = 0; i < 6; ++i)
+        nested.u64(0); // counters
+    nested.u64(0);     // cycles
+    nested.f64(0.0);   // throughput
+    nested.u8(0);      // stop reason
+    nested.f64(0.0);   // half width
+    nested.u64(0);     // warmup cycles
+    nested.u32(huge);
+    expectRefused(nested, result, "metric sample count");
+}
+
+TEST(CheckpointHostile, OutOfRangeEnumsAreRefused)
+{
+    const auto write_sample = [](CkptWriter &w, std::uint8_t kind) {
+        w.u32(1);
+        w.str("m");
+        w.u8(kind);
+        w.f64(1.0);
+        w.u64(1);
+    };
+    const auto samples = [](CkptReader &r) {
+        std::vector<MetricSample> out;
+        loadMetricSamples(r, out);
+    };
+    CkptWriter bad_kind;
+    write_sample(bad_kind, 7);
+    expectRefused(bad_kind, samples, "metric kind");
+
+    // The last valid enumerant still decodes.
+    CkptWriter gauge;
+    write_sample(gauge, static_cast<std::uint8_t>(MetricKind::Gauge));
+    CkptReader gauge_reader(gauge.data());
+    std::vector<MetricSample> decoded;
+    loadMetricSamples(gauge_reader, decoded);
+    ASSERT_EQ(decoded.size(), 1u);
+    EXPECT_EQ(decoded[0].kind, MetricKind::Gauge);
+    EXPECT_TRUE(gauge_reader.atEnd());
+
+    Packet pkt;
+    pkt.type = PacketType::WriteResponse;
+    CkptWriter packet;
+    savePacket(packet, pkt);
+    CkptReader packet_reader(packet.data());
+    EXPECT_EQ(loadPacket(packet_reader).type, PacketType::WriteResponse);
+
+    std::vector<std::uint8_t> bytes = packet.data();
+    bytes[8] = 4; // the type byte follows the u64 packet id
+    CkptWriter bad_type;
+    for (const std::uint8_t b : bytes)
+        bad_type.u8(b);
+    expectRefused(bad_type, [](CkptReader &r) { loadPacket(r); },
+                  "packet type");
 }
 
 // ---------------------------------------------------------------- //
