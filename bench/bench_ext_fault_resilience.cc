@@ -10,7 +10,7 @@
  * Reported per failure rate: survivor latency, delivery rate
  * (delivered/injected flits) and the drop/retry counts behind it.
  *
- * The asymmetry the numbers expose is structural (DESIGN.md s13):
+ * The asymmetry the numbers expose is structural (DESIGN.md s12):
  * e-cube mesh routing is deterministic, so every worm whose fixed
  * path crosses a dead link is drained and dropped at the fault for
  * the whole window, while a ring outage also blocks admission

@@ -1,134 +1,56 @@
 #!/usr/bin/env bash
-# Interleaved A/B benchmark harness.
+# Interleaved A/B of two source trees on the end-to-end benchmark.
 #
-# The committed BENCH_simspeed.json gate compares today's run against
-# a JSON taken on a different day — on a box whose frequency governor,
-# thermal state and background load have all drifted since. Sequential
-# comparisons therefore confound "the code changed" with "the machine
-# changed". This harness removes the machine axis the standard way:
-# run TWO build trees in strictly alternating rounds (A B A B ...), so
-# every pair of measurements sees the same box state within seconds of
-# each other, and reduce with the median of per-round B/A ratios —
-# robust to a background spike polluting any single round — reporting
-# the spread (min..max of the round ratios) so a noisy verdict is
-# visibly noisy.
+# Usage: scripts/ab_bench.sh [--pairs N] [--workload W] TREE_A TREE_B OUT
+#   TREE_A/TREE_B  source checkouts (A = parent, B = change); each
+#                  side's bench/e2e/run.py builds its own build-e2e/
+#   --pairs N      seeds 1..N, one run per side and workload (default 10)
+#   --workload W   one BENCHMARK.json workload (default: all of them)
 #
-# Usage: scripts/ab_bench.sh [options] BUILD_A BUILD_B
-#   BUILD_A/BUILD_B   build trees containing bench/bench_simspeed
-#                     (A = baseline, B = candidate; the report is
-#                     B relative to A, >1.0x means B is faster)
-#   --rounds N        alternating rounds (default 10, minimum 3)
-#   --filter RE       --benchmark_filter regex for both sides
-#   --min-time S      per-measurement min time (default 0.2)
-#   --env-a 'K=V ..'  extra environment for side A only
-#   --env-b 'K=V ..'  extra environment for side B only
-#
-# Exit status: 0 on a completed comparison (the tool informs, it does
-# not gate), 1 on usage/build errors.
+# Seed S writes OUT/A/W.S.json and OUT/B/W.S.json (run.py's output;
+# build logs go to OUT/A.log and OUT/B.log). A runs first on odd seeds,
+# B on even ones, so both sides see the same drift of the box. The
+# verdict is TREE_B's bench/e2e/compare.py OUT/A OUT/B, and so is the
+# exit status.
 set -euo pipefail
 
-ROUNDS=10
-FILTER=""
-MIN_TIME=0.2
-ENV_A=""
-ENV_B=""
-
-usage() {
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
-    exit 1
-}
-
+pairs=10
+workloads=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
-      --rounds) ROUNDS=${2:?--rounds needs a count}; shift 2 ;;
-      --filter) FILTER=${2:?--filter needs a regex}; shift 2 ;;
-      --min-time) MIN_TIME=${2:?--min-time needs seconds}; shift 2 ;;
-      --env-a) ENV_A=${2:?--env-a needs K=V pairs}; shift 2 ;;
-      --env-b) ENV_B=${2:?--env-b needs K=V pairs}; shift 2 ;;
-      -h|--help) usage ;;
-      --*) echo "error: unknown option $1" >&2; exit 1 ;;
+      --pairs) pairs=${2:?--pairs needs a count}; shift 2 ;;
+      --workload) workloads=${2:?--workload needs a name}; shift 2 ;;
       *) break ;;
     esac
 done
-[[ $# -eq 2 ]] || usage
-BUILD_A=$1
-BUILD_B=$2
-if (( ROUNDS < 3 )); then
-    echo "error: --rounds needs at least 3 for a median" >&2
-    exit 1
+if [[ $# -ne 3 ]]; then
+    sed -n '4,8p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
 fi
+tree_a=$1 tree_b=$2 out=$3
+if [[ -z "$workloads" ]]; then
+    workloads=$(python3 -c 'import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]: print(w["name"])' \
+        "$tree_b/BENCHMARK.json")
+fi
+mkdir -p "$out/A" "$out/B"
 
-BENCH_A="$BUILD_A/bench/bench_simspeed"
-BENCH_B="$BUILD_B/bench/bench_simspeed"
-for bench in "$BENCH_A" "$BENCH_B"; do
-    if [[ ! -x "$bench" ]]; then
-        echo "error: $bench not built" >&2
-        exit 1
-    fi
-done
-
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
-
-run_side() {
-    local bench=$1 side_env=$2 out=$3
-    local args=(
-        --benchmark_out="$out"
-        --benchmark_out_format=json
-        --benchmark_repetitions=1
-        --benchmark_min_time="$MIN_TIME"
-    )
-    [[ -n "$FILTER" ]] && args+=(--benchmark_filter="$FILTER")
-    # shellcheck disable=SC2086
-    env $side_env "$bench" "${args[@]}" >/dev/null
+run_side() { # SIDE TREE WORKLOAD SEED
+    python3 "$2/bench/e2e/run.py" --workload "$3" --seed "$4" \
+        > "$out/$1/$3.$4.json" 2>> "$out/$1.log" ||
+        echo "ab_bench: side $1 $3 seed $4 failed (see $out/$1.log)" >&2
 }
 
-echo "ab_bench: $ROUNDS alternating rounds," \
-     "A=$BUILD_A B=$BUILD_B${FILTER:+ filter=$FILTER}"
-for (( r = 0; r < ROUNDS; ++r )); do
-    run_side "$BENCH_A" "$ENV_A" "$WORK/a$r.json"
-    run_side "$BENCH_B" "$ENV_B" "$WORK/b$r.json"
-    echo "  round $((r + 1))/$ROUNDS done"
+for (( seed = 1; seed <= pairs; ++seed )); do
+    for w in $workloads; do
+        if (( seed % 2 )); then
+            run_side A "$tree_a" "$w" "$seed"
+            run_side B "$tree_b" "$w" "$seed"
+        else
+            run_side B "$tree_b" "$w" "$seed"
+            run_side A "$tree_a" "$w" "$seed"
+        fi
+    done
+    echo "ab_bench: pair $seed/$pairs done" >&2
 done
-
-python3 - "$WORK" "$ROUNDS" <<'PY'
-import json
-import statistics
-import sys
-
-work, rounds = sys.argv[1], int(sys.argv[2])
-
-def rates(path):
-    """benchmark name -> primary rate (node_cycles/s or points/s)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    out = {}
-    for row in doc.get("benchmarks", []):
-        rate = row.get("node_cycles/s", row.get("points/s"))
-        if rate is not None:
-            out[row["name"]] = float(rate)
-    return out
-
-a_rounds = [rates(f"{work}/a{r}.json") for r in range(rounds)]
-b_rounds = [rates(f"{work}/b{r}.json") for r in range(rounds)]
-
-names = [n for n in a_rounds[0] if all(n in r for r in b_rounds)]
-if not names:
-    sys.exit("error: no benchmark appears on both sides; check "
-             "--filter and the two build trees")
-
-print(f"\n{'benchmark':<26} {'A median':>12} {'B median':>12} "
-      f"{'B/A':>7} {'spread':>15}")
-for name in names:
-    a = [r[name] for r in a_rounds if name in r]
-    b = [r[name] for r in b_rounds if name in r]
-    ratios = sorted(
-        bi / ai for ai, bi in zip(a, b) if ai > 0)
-    med = statistics.median(ratios)
-    print(f"{name:<26} {statistics.median(a):>12.4g} "
-          f"{statistics.median(b):>12.4g} {med:>6.3f}x "
-          f"[{ratios[0]:.3f}..{ratios[-1]:.3f}]")
-print("\nmedian of per-round B/A ratios; spread = min..max over "
-      "rounds.\nA wide spread means the box was noisy — distrust "
-      "the verdict, rerun.")
-PY
+exec python3 "$tree_b/bench/e2e/compare.py" "$out/A" "$out/B"

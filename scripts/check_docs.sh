@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Keep hrsim_cli --help and README.md's CLI reference in lockstep,
-# in both directions. Run as a ctest (docs_check) so neither side can
-# silently drift:
+# in both directions, and keep the docs' DESIGN.md section citations
+# true. Run as a ctest (docs_check) so neither side can silently
+# drift:
 #
 #  help -> README: every long option the help text mentions must be
 #      documented somewhere in the README.
@@ -11,6 +12,10 @@
 #      renamed flags. The check is scoped to that section because the
 #      rest of the README legitimately mentions foreign flags
 #      (cmake --build, ctest --test-dir, ...).
+#  sections: DESIGN.md (beside the README) numbers its "## N."
+#      sections 1, 2, 3, ... without gaps, and every "DESIGN §N" or
+#      "DESIGN.md §N" in README.md and EXPERIMENTS.md names one of
+#      them, also where the citation wraps a line.
 #
 # Usage: scripts/check_docs.sh HRSIM_CLI README
 set -u
@@ -27,10 +32,13 @@ if [[ ! -x "$cli" ]]; then
     echo "error: $cli is not executable" >&2
     exit 2
 fi
-if [[ ! -r "$readme" ]]; then
-    echo "error: cannot read $readme" >&2
-    exit 2
-fi
+docs=$(dirname "$readme")
+for doc in "$readme" "$docs/DESIGN.md" "$docs/EXPERIMENTS.md"; do
+    if [[ ! -r "$doc" ]]; then
+        echo "error: cannot read $doc" >&2
+        exit 2
+    fi
+done
 
 help_flags=$("$cli" --help 2>&1 | grep -oE -- '--[a-z][a-z-]*' | sort -u)
 
@@ -59,10 +67,34 @@ for flag in $reference_flags; do
     fi
 done
 
+# Sections: numbered without gaps, and every citation resolves.
+sections=$(grep -oE '^## [0-9]+\.' "$docs/DESIGN.md" | grep -oE '[0-9]+')
+want=1
+for n in $sections; do
+    if [[ $n -ne $want ]]; then
+        echo "DESIGN.md numbers a section $n where $want belongs" >&2
+        failed=1
+    fi
+    want=$((n + 1))
+done
+for doc in "$readme" "$docs/EXPERIMENTS.md"; do
+    cited=$(tr -s '[:space:]' ' ' < "$doc" |
+            grep -oE 'DESIGN(\.md)? §[0-9]+' | grep -oE '[0-9]+$' |
+            sort -un)
+    for n in $cited; do
+        if ! grep -qx "$n" <<< "$sections"; then
+            echo "$(basename "$doc") cites DESIGN.md §$n, which has" \
+                 "no '## $n.' heading" >&2
+            failed=1
+        fi
+    done
+done
+
 if [[ $failed -ne 0 ]]; then
-    echo "docs check failed: reconcile hrsim_cli --help and the CLI" \
-         "reference in $readme" >&2
+    echo "docs check failed: reconcile hrsim_cli --help, the CLI" \
+         "reference in $readme and the DESIGN.md citations" >&2
     exit 1
 fi
 echo "docs check passed: hrsim_cli --help and the README CLI" \
-     "reference agree in both directions"
+     "reference agree in both directions, and every DESIGN.md" \
+     "citation resolves"

@@ -24,7 +24,7 @@ outdir=${4:-.}
 mesh_out="$outdir/fastpath_smoke_mesh.json"
 ring_out="$outdir/fastpath_smoke_ring.json"
 
-# Saturated MeshSmall / RingSmall analogues of bench_simspeed.
+# A saturated small mesh (3x3) and ring (2:4) at T = 4.
 "$cli" --mesh 3 --line 64 --t 4 \
     --warmup 1000 --batch 1000 --batches 3 \
     --metrics-out "$mesh_out" >/dev/null

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Emit a small metrics artifact with hrsim_cli and validate it against
-# the checked-in schema. Run as a ctest (metrics_schema_check) and from
-# scripts/run_simspeed.sh, so every build proves its --metrics-out
-# output is schema-valid.
+# the checked-in schema. Run as a ctest (metrics_schema_check), so
+# every build proves its --metrics-out output is schema-valid.
 #
 # Usage: scripts/check_metrics_schema.sh HRSIM_CLI METRICS_CHECK SCHEMA [OUT]
 set -euo pipefail

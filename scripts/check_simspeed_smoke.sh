@@ -24,8 +24,8 @@ outdir=${4:-.}
 ring_out="$outdir/simspeed_smoke_ring.json"
 mesh_out="$outdir/simspeed_smoke_mesh.json"
 
-# RingSmall/MeshSmall analogues of bench_simspeed, shortened: the
-# ring point runs at C = 0.01 so the network goes quiescent often.
+# A small ring (2:4) and mesh (3x3), shortened: the ring point runs
+# at C = 0.01 so the network goes quiescent often.
 "$cli" --ring 2:4 --line 64 --c 0.01 \
     --warmup 1000 --batch 1000 --batches 3 \
     --metrics-out "$ring_out" >/dev/null

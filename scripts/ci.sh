@@ -19,13 +19,16 @@
 #                grow under churn, exactly where AddressSanitizer
 #                pays for itself; the golden corpus runs the whole
 #                bit-identity grid under it.
-#  4. bench    — Release build of bench_simspeed (linked against the
-#                in-tree minibench harness, so no system Debug
-#                benchmark library can distort it) plus a short
-#                tracking run through scripts/run_simspeed.sh into a
-#                scratch artifact. Proves the timing pipeline end to
-#                end — harness flags, JSON shape, the Release check —
-#                without touching the committed baseline.
+#  4. bench    — bench/e2e/run.py --smoke: a Release build of the
+#                end-to-end benchmark (run.py always configures
+#                Release), every workload timed at smoke length with
+#                its JSON result parsed, model outputs exact against
+#                bench/e2e/expected.json, the traced driver's outputs
+#                identical to the plain run's (trace.identical), and a
+#                corrupted expectation that must fail. The committed
+#                BENCH_simspeed.json is never touched; the
+#                --metrics-out schema check lives in stage 1
+#                (metrics_schema_check, simspeed_smoke).
 #
 # Usage: scripts/ci.sh [release|tsan|asan|bench|all]   (default: all)
 set -euo pipefail
@@ -69,17 +72,7 @@ run_sanitizer() {
 }
 
 run_bench() {
-    cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$src/build-ci" -j "$jobs" \
-        --target bench_simspeed hrsim_cli metrics_check
-    # Scratch artifact inside the build tree: untracked, so the
-    # committed-baseline dirty-tree guard in run_simspeed.sh never
-    # triggers on CI runs.
-    BUILD_DIR="$src/build-ci" \
-        HRSIM_BENCH_MIN_TIME=${HRSIM_BENCH_MIN_TIME:-0.05} \
-        "$src/scripts/run_simspeed.sh" \
-        "$src/build-ci/BENCH_simspeed_ci.json" \
-        "$src/build-ci/BENCH_simspeed_ci_metrics.json"
+    python3 "$src/bench/e2e/run.py" --smoke
 }
 
 case "$stage" in

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault-injection and graceful-degradation tests (DESIGN.md s13).
+ * Fault-injection and graceful-degradation tests (DESIGN.md s12).
  *
  * Pinned contracts:
  *  1. Spec grammar — every target/action/window form parses, the

@@ -70,7 +70,7 @@ usage(const char *argv0)
         "  --seed N          master RNG seed\n"
         "  --csv             one machine-readable CSV line\n"
         "\n"
-        "fault injection (deterministic; see DESIGN.md section 13):\n"
+        "fault injection (deterministic; see DESIGN.md section 12):\n"
         "  --fault SPEC      schedule one fault window, e.g.\n"
         "                    mesh.r3.east:down@20000..40000 or\n"
         "                    ring.nic2:stall@1000..; repeatable,\n"
@@ -109,7 +109,7 @@ usage(const char *argv0)
         "                    with --sweep)\n"
         "  --list-sweep      print the sweep's points and exit\n"
         "\n"
-        "checkpoint/restore (see DESIGN.md section 16):\n"
+        "checkpoint/restore (see DESIGN.md section 13):\n"
         "  --save-to FILE    write deterministic snapshots of the\n"
         "                    complete simulator state to FILE (needs\n"
         "                    --save-at and/or --save-every)\n"
