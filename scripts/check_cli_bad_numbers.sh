@@ -38,6 +38,9 @@ expect_rejected --warmup ""
 expect_rejected --seed -1
 expect_rejected --batches 1e4
 expect_rejected --line 0.5
+expect_rejected --line 0
+expect_rejected --line 24
+expect_rejected --line 262128
 expect_rejected --c 0.04x
 expect_rejected --c ""
 expect_rejected --r 1x

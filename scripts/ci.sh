@@ -42,8 +42,10 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 # LayoutSmoke/StablePool cover the scheduler's bitmap scans and the
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
 # Golden replays the whole bit-identity grid (rings, meshes, faults,
-# trace replay) against its recorded digests.
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden'
+# trace replay) against its recorded digests. PacketTable checks the
+# flits' raw slot indices into each network's packet table: slot
+# lifetimes, kill tokens and broadcast copies across the grid.
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden|PacketTable'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

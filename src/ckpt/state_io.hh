@@ -19,9 +19,12 @@
 #ifndef HRSIM_CKPT_STATE_IO_HH
 #define HRSIM_CKPT_STATE_IO_HH
 
+#include <string>
+
 #include "ckpt/codec.hh"
 #include "common/rng.hh"
 #include "proto/packet.hh"
+#include "proto/packet_table.hh"
 
 namespace hrsim
 {
@@ -52,35 +55,67 @@ loadPacket(CkptReader &r)
     return pkt;
 }
 
+/**
+ * Flits are encoded whole — packet id, source, issue cycle and
+ * request id from the network's PacketTable next to the flit's own
+ * fields — so the bytes never depend on a table slot number.
+ */
 inline void
-saveFlit(CkptWriter &w, const Flit &flit)
+saveFlit(CkptWriter &w, const Flit &flit, const PacketTable &table)
 {
-    w.u64(flit.packet);
+    const PacketRecord &rec = table.record(flit.slot);
+    w.u64(rec.id);
     w.u32(flit.index);
     w.u32(flit.sizeFlits);
     w.i32(flit.dst);
-    w.i32(flit.src);
+    w.i32(rec.src);
     w.u8(static_cast<std::uint8_t>(flit.type));
-    w.u64(flit.issueCycle);
-    w.u64(flit.reqId);
+    w.u64(rec.issueCycle);
+    w.u64(rec.reqId);
     w.u16(flit.ttl);
     w.boolean(flit.poisoned);
 }
 
+/**
+ * Decode one flit and re-intern it into @a table by packet id
+ * (between PacketTable::beginLoad() and endLoad()). Refuses sizes
+ * outside [1, maxPacketFlits], an index not below the size, and a
+ * flit whose packet metadata disagrees with an earlier flit of the
+ * same id.
+ */
 inline Flit
-loadFlit(CkptReader &r)
+loadFlit(CkptReader &r, PacketTable &table)
 {
+    PacketRecord meta;
+    meta.id = r.u64();
+    const std::uint32_t index = r.u32();
+    const std::uint32_t size = r.u32();
+    if (size == 0 || size > maxPacketFlits) {
+        throw CheckpointError("checkpoint: flit sizeFlits " +
+                              std::to_string(size) + " outside [1, " +
+                              std::to_string(maxPacketFlits) + "]");
+    }
+    if (index >= size) {
+        throw CheckpointError("checkpoint: flit index " +
+                              std::to_string(index) +
+                              " not below its sizeFlits " +
+                              std::to_string(size));
+    }
     Flit flit;
-    flit.packet = r.u64();
-    flit.index = r.u32();
-    flit.sizeFlits = r.u32();
+    flit.index = static_cast<std::uint16_t>(index);
+    flit.sizeFlits = static_cast<std::uint16_t>(size);
     flit.dst = r.i32();
-    flit.src = r.i32();
+    meta.src = r.i32();
     flit.type = r.enumerant("flit type", PacketType::WriteResponse);
-    flit.issueCycle = r.u64();
-    flit.reqId = r.u64();
+    meta.issueCycle = r.u64();
+    meta.reqId = r.u64();
     flit.ttl = r.u16();
     flit.poisoned = r.boolean();
+    if (const char *field = table.intern(flit, meta)) {
+        throw CheckpointError("checkpoint: flits of packet " +
+                              std::to_string(meta.id) +
+                              " disagree on " + field);
+    }
     return flit;
 }
 
@@ -136,26 +171,21 @@ loadStagedFifo(CkptReader &r, Fifo &fifo, LoadElem load_elem)
     fifo.commit();
 }
 
-inline void
-saveFlitFifoElem(CkptWriter &w, const Flit &flit)
+template <typename Fifo>
+void
+saveFlitFifo(CkptWriter &w, const Fifo &fifo, const PacketTable &table)
 {
-    saveFlit(w, flit);
+    saveFifo(w, fifo, [&table](CkptWriter &out, const Flit &f) {
+        saveFlit(out, f, table);
+    });
 }
 
 template <typename Fifo>
 void
-saveFlitFifo(CkptWriter &w, const Fifo &fifo)
-{
-    saveFifo(w, fifo,
-             [](CkptWriter &out, const Flit &f) { saveFlit(out, f); });
-}
-
-template <typename Fifo>
-void
-loadFlitFifo(CkptReader &r, Fifo &fifo)
+loadFlitFifo(CkptReader &r, Fifo &fifo, PacketTable &table)
 {
     loadStagedFifo(r, fifo,
-                   [](CkptReader &in) { return loadFlit(in); });
+                   [&table](CkptReader &in) { return loadFlit(in, table); });
 }
 
 } // namespace hrsim

@@ -213,15 +213,15 @@ class StagedFifo
         return value;
     }
 
-    /** End-of-cycle commit: publish pushes, recycle popped slots. */
+    /**
+     * End-of-cycle commit: publish pushes, recycle popped slots.
+     * Straight-line on purpose: whether a queue saw traffic this
+     * cycle is data-dependent, and an early-out on it mispredicts
+     * more than the two stores it saves (DESIGN.md section 10).
+     */
     void
     commit()
     {
-        // Early-out keeps the common idle commit read-only: the
-        // per-cycle sweep commits every queue of every awake
-        // component, and most saw no traffic this cycle.
-        if ((staged_ | poppedThisCycle_) == 0)
-            return;
         visible_ += staged_;
         visible_ -= poppedThisCycle_;
         staged_ = 0;
@@ -316,14 +316,10 @@ struct FifoState
     std::uint32_t staged = 0;
     std::uint32_t poppedThisCycle = 0;
 
-    /** End-of-cycle commit: publish pushes, recycle popped slots. */
+    /** End-of-cycle commit, branch-free (see StagedFifo::commit). */
     void
     commit()
     {
-        // Same read-only early-out as StagedFifo::commit(): most
-        // queues saw no traffic this cycle.
-        if ((staged | poppedThisCycle) == 0)
-            return;
         visible += staged;
         visible -= poppedThisCycle;
         staged = 0;

@@ -80,6 +80,15 @@ System::System(const SystemConfig &cfg)
               "every-cycle tick loop was removed and every run skips "
               "idle components (results are identical either way)");
     }
+    if (!cacheLineSupported(cfg_.cacheLineBytes)) {
+        fatal("System: cacheLineBytes = " +
+              std::to_string(cfg_.cacheLineBytes) +
+              " is not supported; a line must be a positive multiple "
+              "of 16 bytes, at most " +
+              std::to_string(maxCacheLineBytes) +
+              " (whole flits on both networks, and a packet size "
+              "that fits a flit's 16-bit fields)");
+    }
     buildNetwork();
     buildWorkload();
 

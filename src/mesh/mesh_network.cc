@@ -33,7 +33,7 @@ MeshNetwork::MeshNetwork(const Params &params)
     routers_.reserve(static_cast<std::size_t>(num_pms));
     for (NodeId id = 0; id < num_pms; ++id) {
         MeshRouter &router = routers_.emplace_back(
-            id, params_.width, bufferFlits_, clFlits_,
+            id, params_.width, bufferFlits_, clFlits_, &packets_,
             params_.roundRobinArbitration,
             flitArena_.data() +
                 static_cast<std::size_t>(id) * arena_per);
@@ -165,9 +165,10 @@ MeshNetwork::tick(Cycle now)
     });
     // Sleep soundness check: e-cube is deadlock-free and ejection
     // always sinks, so flits in flight imply some router just moved
-    // one (and stayed awake). An empty mask must mean an empty mesh.
+    // one (and stayed awake). An empty mask must mean an empty mesh,
+    // and then every packet-table slot is back on the free list.
     if (activeMask_.empty())
-        HRSIM_ASSERT(flitsInFlight() == 0);
+        HRSIM_ASSERT(flitsInFlight() == 0 && packets_.liveSlots() == 0);
 }
 
 bool
@@ -310,8 +311,13 @@ void
 MeshNetwork::loadState(CkptReader &r)
 {
     satTicks_ = r.u32();
-    for (MeshRouter &router : routers_)
-        router.loadState(r);
+    packets_.beginLoad();
+    std::vector<PacketId> worm_ids(routers_.size() * NumMeshPorts);
+    for (std::size_t id = 0; id < routers_.size(); ++id)
+        routers_[id].loadState(r, &worm_ids[id * NumMeshPorts]);
+    for (std::size_t id = 0; id < routers_.size(); ++id)
+        routers_[id].bindLoadedWorms(&worm_ids[id * NumMeshPorts]);
+    packets_.endLoad();
     const bool has_faults = r.boolean();
     if (has_faults != !faultState_.empty()) {
         throw CheckpointError(

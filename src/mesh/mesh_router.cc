@@ -23,11 +23,12 @@ oppositePort(MeshPort port)
 }
 
 MeshRouter::MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
-                       std::uint32_t queue_flits, bool round_robin,
-                       Flit *storage)
+                       std::uint32_t queue_flits, PacketTable *packets,
+                       bool round_robin, Flit *storage)
     : id_(id), width_(width), x_(id % width), y_(id / width),
-      roundRobin_(round_robin)
+      roundRobin_(round_robin), packets_(packets)
 {
+    HRSIM_ASSERT(packets != nullptr);
     HRSIM_ASSERT(buffer_flits >= 1);
     if (storage) {
         for (auto &buf : inBuf_) {
@@ -51,7 +52,7 @@ MeshRouter::connect(MeshPort out, MeshRouter *neighbor,
                     UtilizationTracker *util,
                     UtilizationTracker::LinkId link)
 {
-    HRSIM_ASSERT(out != PortLocal);
+    HRSIM_ASSERT(out != PortLocal && util != nullptr);
     Output &port = out_[static_cast<std::size_t>(out)];
     port.neighbor = neighbor;
     port.peerBuf =
@@ -104,6 +105,42 @@ MeshRouter::peekInput(int in) const
     return nullptr;
 }
 
+inline void
+MeshRouter::traverseOutput(int out)
+{
+    Output &port = out_[static_cast<std::size_t>(out)];
+    const FifoView<Flit> src = port.src;
+    if (src.empty())
+        return; // worm starved: hold the port
+    if (!port.peer.canPush())
+        return; // blocked: flits wait in the input buffer
+    forwardFront(out, src.front());
+}
+
+inline void
+MeshRouter::forwardFront(int out, const Flit &flit)
+{
+    // Stream the flit straight from the input front into the
+    // downstream buffer: one 16-byte element copy.
+    Output &port = out_[static_cast<std::size_t>(out)];
+    HRSIM_ASSERT(flit.slot == port.wormSlot);
+    port.peer.pushFrom(flit);
+    hot_->changed = true;
+    wakeNeighbor(port.neighbor);
+    if (*port.utilMeasuring)
+        ++*port.utilCounter;
+    HRSIM_TRACE_FLIT(tracerSlot_ ? *tracerSlot_ : nullptr,
+                     FlitEvent::Hop, packets_->id(flit.slot), id_,
+                     port.peer.totalSize());
+    streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
+    const bool tail = flit.isTail();
+    port.src.dropFront();
+    if (port.srcUpstream)
+        wakeNeighbor(port.srcUpstream);
+    if (tail)
+        unbindOutput(out);
+}
+
 void
 MeshRouter::evaluatePorts(Cycle now)
 {
@@ -114,18 +151,23 @@ MeshRouter::evaluatePorts(Cycle now)
     // port just holds its binding. The six cursor blocks are
     // contiguous in the network's column, so the whole visibility
     // scan reads one or two cache lines off a single base pointer.
-    PortMask vis = 0;
-    for (int in = 0; in < PortLocal; ++in) {
-        if (col_[in].visible != 0)
-            vis |= static_cast<PortMask>(1u << in);
-    }
-    const bool local_vis =
-        localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
-        : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
-                                     : (col_[4].visible |
-                                        col_[5].visible) != 0;
-    if (local_vis)
-        vis |= static_cast<PortMask>(1u << PortLocal);
+    // It is straight-line code: which queues hold flits is exactly
+    // the data-dependent outcome a branch would mispredict on.
+    unsigned bits = 0;
+    for (int in = 0; in < PortLocal; ++in)
+        bits |= static_cast<unsigned>(col_[in].visible != 0) << in;
+    // The local input sees the PM queue its worm is bound to, or
+    // either one at a packet boundary: bit 0 picks the response
+    // queue, bit 1 the request queue.
+    static constexpr std::uint8_t localPick[] = {3, 1, 2};
+    const unsigned queues =
+        static_cast<unsigned>(col_[4].visible != 0) |
+        static_cast<unsigned>(col_[5].visible != 0) << 1;
+    bits |= static_cast<unsigned>(
+                (queues &
+                 localPick[static_cast<std::size_t>(localSrc_)]) != 0)
+            << PortLocal;
+    const auto vis = static_cast<PortMask>(bits);
     if (vis == 0)
         return;
 
@@ -165,8 +207,15 @@ MeshRouter::evaluatePorts(Cycle now)
 
     // 3. Worm streaming: owned outputs in ascending port order (see
     //    PortMask in mesh_router.hh).
-    for (PortMask m = ownedMask_; m != 0; m = dropLowestPort(m))
-        traverseOutput(lowestSetPort(m), now);
+    for (PortMask m = ownedMask_; m != 0; m = dropLowestPort(m)) {
+        const int out = lowestSetPort(m);
+        if (out == PortLocal)
+            ejectLocal(now);
+        else if (faults_)
+            traverseFaulted(out);
+        else
+            traverseOutput(out);
+    }
 }
 
 void
@@ -176,7 +225,7 @@ MeshRouter::grantOutput(int out, int in)
     const Flit *head = peekInput(in);
     HRSIM_ASSERT(head != nullptr);
     port.owner = in;
-    port.wormPkt = head->packet;
+    port.wormSlot = head->slot;
     inputBound_[static_cast<std::size_t>(in)] = out;
     boundMask_ |= static_cast<PortMask>(1u << in);
     ownedMask_ |= static_cast<PortMask>(1u << out);
@@ -202,98 +251,85 @@ MeshRouter::grantOutput(int out, int in)
 }
 
 void
-MeshRouter::traverseOutput(int out, Cycle now)
+MeshRouter::ejectLocal(Cycle now)
 {
-    Output &port = out_[static_cast<std::size_t>(out)];
-    if (faults_ && out != PortLocal &&
-        (faults_->out[static_cast<std::size_t>(out)].killing ||
-         faults_->portDown[static_cast<std::size_t>(out)] != 0)) {
-        killOutput(out);
-        return;
-    }
+    Output &port = out_[PortLocal];
     const FifoView<Flit> src = port.src;
     if (src.empty())
         return; // worm starved: hold the port
-    const Flit *next = &src.front();
-    HRSIM_ASSERT(next->packet == port.wormPkt);
-    bool tail;
-    if (out == PortLocal) {
-        // Ejection: the PM always sinks. Copy the flit out first —
-        // the delivery callback runs after the pop (it may re-enter
-        // this router through a synchronous response injection).
-        const Flit flit = *next;
-        src.dropFront();
-        if (port.srcUpstream)
-            wakeNeighbor(port.srcUpstream);
-        hot_->changed = true;
-        streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
-        tail = flit.isTail();
-        if (acct_) {
-            if (flit.poisoned)
-                ++acct_->droppedFlits;
-            else
-                ++acct_->deliveredFlits;
-        }
-        // Poisoned worms (corrupted headers, or the kill token of a
-        // truncated worm) drain out here but are never delivered.
-        if (tail && deliver_ && !flit.poisoned)
-            deliver_(packetFromFlit(flit), now);
-    } else {
-        HRSIM_ASSERT(port.peerBuf != nullptr);
-        if (!port.peer.canPush())
-            return; // blocked: flits wait in the input buffer
-        bool poison = false;
-        if (faults_) {
-            auto &kill = faults_->out[static_cast<std::size_t>(out)];
-            if (next->isHead() &&
-                faults_->portCorrupt[static_cast<std::size_t>(out)] !=
-                    0) {
-                // Corrupt fault: the header crossing the bad link
-                // poisons the whole worm (sticky past the window and
-                // past any nested window boundary — the header is
-                // what's broken).
-                kill.poisoning = true;
-                if (acct_)
-                    ++acct_->poisonedWorms;
-            }
-            poison = kill.poisoning;
-            if (poison && next->isTail())
-                kill.poisoning = false;
-        }
-        // Stream the flit straight from the input front into the
-        // downstream buffer: one element copy, no pop-into-temporary.
-        if (poison) {
-            Flit copy = *next;
-            copy.poisoned = true;
-            port.peer.pushFrom(copy);
-        } else {
-            port.peer.pushFrom(*next);
-        }
-        hot_->changed = true;
-        wakeNeighbor(port.neighbor);
-        if (port.utilCounter != nullptr && *port.utilMeasuring)
-            ++*port.utilCounter;
-        HRSIM_TRACE_FLIT(tracerSlot_ ? *tracerSlot_ : nullptr,
-                         FlitEvent::Hop, next->packet, id_,
-                         port.peer.totalSize());
-        streamedFlits_ +=
-            static_cast<std::uint64_t>(!next->isHead());
-        tail = next->isTail();
-        src.dropFront();
-        if (port.srcUpstream)
-            wakeNeighbor(port.srcUpstream);
+    // Ejection: the PM always sinks. Copy the flit out first — the
+    // delivery callback runs after the pop (it may re-enter this
+    // router through a synchronous response injection).
+    const Flit flit = src.front();
+    HRSIM_ASSERT(flit.slot == port.wormSlot);
+    src.dropFront();
+    if (port.srcUpstream)
+        wakeNeighbor(port.srcUpstream);
+    hot_->changed = true;
+    streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
+    if (acct_) {
+        if (flit.poisoned)
+            ++acct_->droppedFlits;
+        else
+            ++acct_->deliveredFlits;
     }
-    if (tail) {
-        inputBound_[static_cast<std::size_t>(port.owner)] = -1;
-        boundMask_ &= static_cast<PortMask>(~(1u << port.owner));
-        ownedMask_ &= static_cast<PortMask>(~(1u << out));
-        if (port.owner == PortLocal)
-            localSrc_ = LocalSrc::None;
-        port.owner = -1;
-        port.wormPkt = 0;
-        port.src = {};
-        port.srcUpstream = nullptr;
+    // Poisoned worms (corrupted headers, or the kill token of a
+    // truncated worm) drain out here but are never delivered. The
+    // packet is read before the flit's slot is released.
+    const bool tail = flit.isTail();
+    const bool deliver = tail && deliver_ && !flit.poisoned;
+    Packet pkt;
+    if (deliver)
+        pkt = packets_->packet(flit);
+    packets_->release(flit.slot);
+    if (deliver)
+        deliver_(pkt, now);
+    if (tail)
+        unbindOutput(PortLocal);
+}
+
+void
+MeshRouter::traverseFaulted(int out)
+{
+    const auto o = static_cast<std::size_t>(out);
+    if (faults_->out[o].killing || faults_->portDown[o] != 0) {
+        killOutput(out);
+        return;
     }
+    const Output &port = out_[o];
+    if (port.src.empty() || !port.peer.canPush())
+        return; // starved or blocked: hold the port
+    Flit flit = port.src.front();
+    auto &kill = faults_->out[o];
+    if (flit.isHead() && faults_->portCorrupt[o] != 0) {
+        // Corrupt fault: the header crossing the bad link poisons
+        // the whole worm (sticky past the window and past any nested
+        // window boundary — the header is what's broken).
+        kill.poisoning = true;
+        if (acct_)
+            ++acct_->poisonedWorms;
+    }
+    if (kill.poisoning) {
+        flit.poisoned = true;
+        if (flit.isTail())
+            kill.poisoning = false;
+    }
+    forwardFront(out, flit);
+}
+
+void
+MeshRouter::unbindOutput(int out)
+{
+    Output &port = out_[static_cast<std::size_t>(out)];
+    inputBound_[static_cast<std::size_t>(port.owner)] = -1;
+    boundMask_ &= static_cast<PortMask>(~(1u << port.owner));
+    ownedMask_ &= static_cast<PortMask>(~(1u << out));
+    if (port.owner == PortLocal)
+        localSrc_ = LocalSrc::None;
+    port.owner = -1;
+    port.wormSlot = 0;
+    port.src = {};
+    port.srcUpstream = nullptr;
 }
 
 void
@@ -306,7 +342,7 @@ MeshRouter::killOutput(int out)
     if (src.empty())
         return; // starved: the rest of the worm is still upstream
     const Flit *next = &src.front();
-    HRSIM_ASSERT(next->packet == port.wormPkt);
+    HRSIM_ASSERT(next->slot == port.wormSlot);
     auto &kill = faults_->out[static_cast<std::size_t>(out)];
     if (!kill.killing) {
         kill.killing = true;
@@ -327,17 +363,21 @@ MeshRouter::killOutput(int out)
         // tail flit (the link-level error token of the dead link) so
         // every router ahead unbinds normally and the fragment drains
         // to its ejection port, where the poison suppresses delivery.
+        // The token replaces the flit it is cut from, so the packet's
+        // live-flit count is unchanged.
         HRSIM_ASSERT(port.peerBuf != nullptr);
         if (!port.peer.canPush())
             return; // wait for space; credit wake re-runs this
         Flit token = *next;
-        token.index = token.sizeFlits - 1;
+        token.index = static_cast<std::uint16_t>(token.sizeFlits - 1);
         token.poisoned = true;
         port.peer.pushFrom(token);
         wakeNeighbor(port.neighbor);
         kill.terminator = false;
-    } else if (acct_) {
-        ++acct_->droppedFlits;
+    } else {
+        if (acct_)
+            ++acct_->droppedFlits;
+        packets_->release(next->slot);
     }
     // Drain one flit per cycle, exactly the rate of a live link;
     // the drop frees the upstream slot, so credits flow and the
@@ -348,15 +388,7 @@ MeshRouter::killOutput(int out)
         wakeNeighbor(port.srcUpstream);
     hot_->changed = true;
     if (tail) {
-        inputBound_[static_cast<std::size_t>(port.owner)] = -1;
-        boundMask_ &= static_cast<PortMask>(~(1u << port.owner));
-        ownedMask_ &= static_cast<PortMask>(~(1u << out));
-        if (port.owner == PortLocal)
-            localSrc_ = LocalSrc::None;
-        port.owner = -1;
-        port.wormPkt = 0;
-        port.src = {};
-        port.srcUpstream = nullptr;
+        unbindOutput(out);
         kill.killing = false;
         kill.decided = false;
     }
@@ -384,8 +416,9 @@ MeshRouter::inject(const Packet &pkt)
 {
     HRSIM_ASSERT(canInject(pkt));
     MeshFifo &queue = isRequest(pkt.type) ? outReq_ : outResp_;
+    const std::uint32_t slot = packets_->acquire(pkt);
     for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i)
-        queue.push(makeFlit(pkt, i));
+        queue.push(makeFlit(pkt, slot, i));
 }
 
 const MeshFifo &
@@ -408,15 +441,15 @@ void
 MeshRouter::saveState(CkptWriter &w) const
 {
     for (const auto &buf : inBuf_)
-        saveFlitFifo(w, buf);
-    saveFlitFifo(w, outResp_);
-    saveFlitFifo(w, outReq_);
+        saveFlitFifo(w, buf, *packets_);
+    saveFlitFifo(w, outResp_, *packets_);
+    saveFlitFifo(w, outReq_, *packets_);
     w.u8(static_cast<std::uint8_t>(localSrc_));
     for (const int bound : inputBound_)
         w.i32(bound);
     for (const Output &port : out_) {
         w.i32(port.owner);
-        w.u64(port.wormPkt);
+        w.u64(port.owner == -1 ? 0 : packets_->id(port.wormSlot));
         w.i32(port.rrPtr);
     }
     w.u8(boundMask_);
@@ -427,18 +460,20 @@ MeshRouter::saveState(CkptWriter &w) const
 }
 
 void
-MeshRouter::loadState(CkptReader &r)
+MeshRouter::loadState(CkptReader &r, PacketId *worm_ids)
 {
     for (auto &buf : inBuf_)
-        loadFlitFifo(r, buf);
-    loadFlitFifo(r, outResp_);
-    loadFlitFifo(r, outReq_);
+        loadFlitFifo(r, buf, *packets_);
+    loadFlitFifo(r, outResp_, *packets_);
+    loadFlitFifo(r, outReq_, *packets_);
     localSrc_ = r.enumerant("mesh local source", LocalSrc::Req);
     for (int &bound : inputBound_)
         bound = r.i32();
-    for (Output &port : out_) {
+    for (std::size_t out = 0; out < NumMeshPorts; ++out) {
+        Output &port = out_[out];
         port.owner = r.i32();
-        port.wormPkt = r.u64();
+        worm_ids[out] = r.u64();
+        port.wormSlot = 0;
         port.rrPtr = r.i32();
     }
     boundMask_ = r.u8();
@@ -467,6 +502,27 @@ MeshRouter::loadState(CkptReader &r)
                 upstream_[static_cast<std::size_t>(port.owner)];
             HRSIM_ASSERT(port.srcUpstream != nullptr);
         }
+    }
+}
+
+void
+MeshRouter::bindLoadedWorms(const PacketId *worm_ids)
+{
+    for (std::size_t out = 0; out < NumMeshPorts; ++out) {
+        Output &port = out_[out];
+        if (port.owner == -1)
+            continue;
+        // A bound worm's tail has not crossed yet, so the packet is
+        // still in flight and was interned by some router's queues.
+        const std::uint32_t slot = packets_->slotOf(worm_ids[out]);
+        if (slot == PacketTable::noSlot) {
+            throw CheckpointError(
+                "checkpoint: mesh router " + std::to_string(id_) +
+                " binds a worm of packet " +
+                std::to_string(worm_ids[out]) + " with no flit in "
+                "flight");
+        }
+        port.wormSlot = slot;
     }
 }
 

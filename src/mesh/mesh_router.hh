@@ -28,6 +28,7 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
+#include "proto/packet_table.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -167,6 +168,8 @@ class MeshRouter
      * @param width Mesh edge length.
      * @param buffer_flits Directional input buffer depth.
      * @param queue_flits PM output queue depth (>= largest packet).
+     * @param packets The network's packet table (slots are taken at
+     *        inject and returned at ejection or kill drop).
      * @param round_robin Rotate output arbitration (paper default);
      *        false selects fixed-priority (ablation only).
      * @param storage Optional external flit storage for all six
@@ -176,8 +179,8 @@ class MeshRouter
      *        heap-allocate its own buffer.
      */
     MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
-               std::uint32_t queue_flits, bool round_robin = true,
-               Flit *storage = nullptr);
+               std::uint32_t queue_flits, PacketTable *packets,
+               bool round_robin = true, Flit *storage = nullptr);
 
     MeshRouter(const MeshRouter &) = delete;
     MeshRouter &operator=(const MeshRouter &) = delete;
@@ -286,13 +289,11 @@ class MeshRouter
     refreshViews()
     {
         for (auto &port : out_) {
-            if (port.peerBuf != nullptr)
-                port.peer = port.peerBuf->view();
-            if (port.util != nullptr) {
-                port.utilMeasuring = port.util->measuringFlag();
-                port.utilCounter =
-                    port.util->transferCounter(port.link);
-            }
+            if (port.peerBuf == nullptr)
+                continue;
+            port.peer = port.peerBuf->view();
+            port.utilMeasuring = port.util->measuringFlag();
+            port.utilCounter = port.util->transferCounter(port.link);
         }
     }
 
@@ -342,9 +343,14 @@ class MeshRouter
      * unconsumed poke is what re-wakes a back-pressured worm). The
      * cached source views and upstream pointers of granted ports are
      * derived; loadState() rebuilds them with grantOutput()'s recipe.
+     * A granted port is saved by its worm's packet id; loadState()
+     * leaves those ids in @a worm_ids (NumMeshPorts entries) and
+     * bindLoadedWorms() turns them into slots once every router's
+     * flits are interned (a starved worm's flits sit upstream).
      */
     void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void loadState(CkptReader &r, PacketId *worm_ids);
+    void bindLoadedWorms(const PacketId *worm_ids);
 
   private:
     /** Mask-driven evaluate: LUT routing, ctz port iteration. */
@@ -353,8 +359,27 @@ class MeshRouter
     /** Bind output @a out to the worm whose head waits on @a in. */
     void grantOutput(int out, int in);
 
-    /** Move one flit across owned output @a out if flow control allows. */
-    void traverseOutput(int out, Cycle now);
+    /**
+     * Move one flit across owned directional output @a out if flow
+     * control allows (fault-free runs).
+     */
+    void traverseOutput(int out);
+
+    /**
+     * The move itself: stage @a flit (the front of output @a out's
+     * source, possibly poison-stamped) into the peer buffer, pop the
+     * source and do the per-hop bookkeeping.
+     */
+    void forwardFront(int out, const Flit &flit);
+
+    /** traverseOutput() for the local (ejection) port. */
+    void ejectLocal(Cycle now);
+
+    /** traverseOutput() under a fault plan (cold path). */
+    void traverseFaulted(int out);
+
+    /** Release output @a out after its worm's tail crossed. */
+    void unbindOutput(int out);
 
     /**
      * Drain-and-drop one flit of the worm bound to dead output
@@ -400,7 +425,8 @@ class MeshRouter
     struct Output
     {
         int owner = -1; //!< input currently holding this port
-        PacketId wormPkt = 0;
+        /** The owner worm's table slot (worm-identity asserts). */
+        std::uint32_t wormSlot = 0;
         int rrPtr = 0;  //!< round-robin arbitration pointer
         /** The owner worm's source queue, cached at grant so each
          * streamed flit skips the peekInput() owner/localSrc
@@ -440,6 +466,7 @@ class MeshRouter
     std::array<MeshRouter *, 4> upstream_{};
 
     DeliverFn deliver_;
+    PacketTable *packets_;
     FlitTracer *const *tracerSlot_ = nullptr;
     /** The network's router mask (wake target). */
     ActiveMask *wakeMask_ = nullptr;

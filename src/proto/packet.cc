@@ -66,33 +66,17 @@ ChannelSpec::packetFlits(PacketType type,
 }
 
 Flit
-makeFlit(const Packet &packet, std::uint32_t index)
+makeFlit(const Packet &packet, std::uint32_t slot, std::uint32_t index)
 {
     HRSIM_ASSERT(index < packet.sizeFlits);
+    HRSIM_ASSERT(packet.sizeFlits <= maxPacketFlits);
     Flit flit;
-    flit.packet = packet.id;
-    flit.index = index;
-    flit.sizeFlits = packet.sizeFlits;
+    flit.slot = slot;
     flit.dst = packet.dst;
-    flit.src = packet.src;
+    flit.index = static_cast<std::uint16_t>(index);
+    flit.sizeFlits = static_cast<std::uint16_t>(packet.sizeFlits);
     flit.type = packet.type;
-    flit.issueCycle = packet.issueCycle;
-    flit.reqId = packet.reqId;
     return flit;
-}
-
-Packet
-packetFromFlit(const Flit &flit)
-{
-    Packet packet;
-    packet.id = flit.packet;
-    packet.type = flit.type;
-    packet.src = flit.src;
-    packet.dst = flit.dst;
-    packet.sizeFlits = flit.sizeFlits;
-    packet.issueCycle = flit.issueCycle;
-    packet.reqId = flit.reqId;
-    return packet;
 }
 
 } // namespace hrsim

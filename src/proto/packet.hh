@@ -56,10 +56,10 @@ struct ChannelSpec
     std::uint32_t headerFlits; //!< flits consumed by the packet header
 
     /** The ring spec from the paper: 128-bit channel, 1-flit header. */
-    static ChannelSpec ring() { return {16, 1}; }
+    static constexpr ChannelSpec ring() { return {16, 1}; }
 
     /** The mesh spec from the paper: 32-bit channel, 4-flit header. */
-    static ChannelSpec mesh() { return {4, 4}; }
+    static constexpr ChannelSpec mesh() { return {4, 4}; }
 
     /** Flits in a packet of @a type for @a cache_line_bytes lines. */
     std::uint32_t packetFlits(PacketType type,
@@ -92,24 +92,26 @@ struct Packet
 };
 
 /**
- * One flit in flight. Every flit carries the metadata of its packet
- * (destination, source, type, size, issue time); only head flits
- * would in hardware, but replicating the fields keeps the simulator
- * simple and lets the receiver rebuild the Packet without a central
- * in-flight registry.
+ * One flit in flight: 16 bytes, the same type on the wormhole ring,
+ * the slotted ring and the mesh. A flit carries only what a hop
+ * reads — routing (dst, type), worm position (index, sizeFlits) and
+ * the fault/broadcast marks. The rest of its packet's metadata (id,
+ * source, issue cycle, answered request) lives once per packet in
+ * the owning network's PacketTable, at @ref slot; only ejection,
+ * tracing and checkpoints look it up there (proto/packet_table.hh).
  */
 struct Flit
 {
-    PacketId packet = 0;
-    std::uint32_t index = 0;     //!< position within the packet
-    std::uint32_t sizeFlits = 0; //!< total flits in the packet
+    std::uint32_t slot = 0;      //!< the packet's PacketTable slot
     NodeId dst = invalidNode;
-    NodeId src = invalidNode;
-    PacketType type = PacketType::ReadRequest;
-    Cycle issueCycle = 0;        //!< issue time of the original request
-    PacketId reqId = 0;          //!< answered request id (responses)
-    /** Remaining ring hops of a broadcast cell (slotted mode). */
+    std::uint16_t index = 0;     //!< position within the packet
+    std::uint16_t sizeFlits = 0; //!< total flits in the packet
+    /**
+     * Remaining ring hops of a broadcast cell (slotted mode), or the
+     * occupancy debt a wormhole kill token carries (RingSideFaults).
+     */
     std::uint16_t ttl = 0;
+    PacketType type = PacketType::ReadRequest;
     /**
      * Header corrupted by a fault window. The flag is sticky for the
      * whole worm (the head's poisoning spreads to every flit behind
@@ -123,11 +125,37 @@ struct Flit
     bool isBroadcast() const { return dst == broadcastNode; }
 };
 
-/** Rebuild packet metadata from any of its flits. */
-Packet packetFromFlit(const Flit &flit);
+static_assert(sizeof(Flit) == 16, "a flit is 16 bytes");
 
-/** Build the @a index-th flit of @a packet. */
-Flit makeFlit(const Packet &packet, std::uint32_t index);
+/** Largest packet a Flit's 16-bit index/sizeFlits fields can carry. */
+constexpr std::uint32_t maxPacketFlits = 0xFFFF;
+
+/**
+ * Largest supported cache line: the mesh's cache-line packet (the
+ * larger of the two networks', 4-flit header plus 4-byte flits) must
+ * fit maxPacketFlits, rounded down to a multiple of the ring's
+ * 16-byte flit.
+ */
+constexpr std::uint32_t maxCacheLineBytes =
+    (maxPacketFlits - ChannelSpec::mesh().headerFlits) *
+    ChannelSpec::mesh().flitBytes / ChannelSpec::ring().flitBytes *
+    ChannelSpec::ring().flitBytes;
+
+/**
+ * Can both networks carry @a bytes-byte cache lines? True for a
+ * positive multiple of 16 (a whole number of flits on either
+ * channel) up to maxCacheLineBytes.
+ */
+constexpr bool
+cacheLineSupported(std::uint32_t bytes)
+{
+    return bytes != 0 && bytes % ChannelSpec::ring().flitBytes == 0 &&
+           bytes <= maxCacheLineBytes;
+}
+
+/** Build the @a index-th flit of @a packet, which holds @a slot. */
+Flit makeFlit(const Packet &packet, std::uint32_t slot,
+              std::uint32_t index);
 
 } // namespace hrsim
 

@@ -8,14 +8,14 @@ namespace hrsim
 
 RingIri::RingIri(NodeId subtree_lo, NodeId subtree_hi,
                  std::uint32_t cl_flits, std::uint32_t wait_limit,
-                 std::uint32_t queue_packets)
+                 PacketTable *packets, std::uint32_t queue_packets)
     : subtreeLo_(subtree_lo), subtreeHi_(subtree_hi),
-      waitLimit_(wait_limit),
+      waitLimit_(wait_limit), packets_(packets),
       lowerRingSource_(lower_), upperRingSource_(upper_),
       upRespSource_(upResp_), upReqSource_(upReq_),
       downRespSource_(downResp_), downReqSource_(downReq_)
 {
-    HRSIM_ASSERT(subtree_lo < subtree_hi);
+    HRSIM_ASSERT(subtree_lo < subtree_hi && packets != nullptr);
     lower_.transitBuf.setCapacity(cl_flits);
     upper_.transitBuf.setCapacity(cl_flits);
     const std::size_t queue_flits =
@@ -43,17 +43,17 @@ RingIri::routeLower(const Flit &flit, bool count_wait)
 {
     if (!flit.isHead()) {
         // Body flits always follow their head's decision.
-        HRSIM_ASSERT(lowerMemo_.valid &&
-                     lowerMemo_.packet == flit.packet);
+        HRSIM_ASSERT(lowerMemo_.valid && lowerMemo_.slot == flit.slot);
         return lowerMemo_.route;
     }
+    const PacketId pkt = packets_->id(flit.slot);
     if (inSubtree(flit.dst)) {
-        lowerMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+        lowerMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         return WormRoute::Continue;
     }
-    if (lowerEscaped_ == flit.packet) {
+    if (lowerEscaped_ == pkt) {
         // Already committed to an escape lap; stay on the ring.
-        lowerMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+        lowerMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         return WormRoute::Continue;
     }
     // Ring-changing: divert only when the whole packet fits, so the
@@ -62,20 +62,20 @@ RingIri::routeLower(const Flit &flit, bool count_wait)
     // around the ring once the wait limit is exceeded.
     if (upQueue(flit.type).producerSpace() >= flit.sizeFlits) {
         lowerMemo_ =
-            RouteMemo{flit.packet, true, WormRoute::ChangeRing};
+            RouteMemo{pkt, flit.slot, true, WormRoute::ChangeRing};
         lowerWait_ = WaitState{};
         return WormRoute::ChangeRing;
     }
-    if (lowerWait_.packet != flit.packet)
-        lowerWait_ = WaitState{flit.packet, 0};
+    if (lowerWait_.packet != pkt)
+        lowerWait_ = WaitState{pkt, 0};
     if (count_wait) {
         ++lowerWait_.cycles;
         ++waitCycles_;
     }
     if (lowerWait_.cycles > waitLimit_) {
-        lowerMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+        lowerMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         lowerWait_ = WaitState{};
-        lowerEscaped_ = flit.packet;
+        lowerEscaped_ = pkt;
         ++escapes_;
         return WormRoute::Continue;
     }
@@ -86,34 +86,34 @@ RingIri::WormRoute
 RingIri::routeUpper(const Flit &flit, bool count_wait)
 {
     if (!flit.isHead()) {
-        HRSIM_ASSERT(upperMemo_.valid &&
-                     upperMemo_.packet == flit.packet);
+        HRSIM_ASSERT(upperMemo_.valid && upperMemo_.slot == flit.slot);
         return upperMemo_.route;
     }
+    const PacketId pkt = packets_->id(flit.slot);
     if (!inSubtree(flit.dst)) {
-        upperMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+        upperMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         return WormRoute::Continue;
     }
-    if (upperEscaped_ == flit.packet) {
-        upperMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+    if (upperEscaped_ == pkt) {
+        upperMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         return WormRoute::Continue;
     }
     if (downQueue(flit.type).producerSpace() >= flit.sizeFlits) {
         upperMemo_ =
-            RouteMemo{flit.packet, true, WormRoute::ChangeRing};
+            RouteMemo{pkt, flit.slot, true, WormRoute::ChangeRing};
         upperWait_ = WaitState{};
         return WormRoute::ChangeRing;
     }
-    if (upperWait_.packet != flit.packet)
-        upperWait_ = WaitState{flit.packet, 0};
+    if (upperWait_.packet != pkt)
+        upperWait_ = WaitState{pkt, 0};
     if (count_wait) {
         ++upperWait_.cycles;
         ++waitCycles_;
     }
     if (upperWait_.cycles > waitLimit_) {
-        upperMemo_ = RouteMemo{flit.packet, true, WormRoute::Continue};
+        upperMemo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         upperWait_ = WaitState{};
-        upperEscaped_ = flit.packet;
+        upperEscaped_ = pkt;
         ++escapes_;
         return WormRoute::Continue;
     }
@@ -221,7 +221,8 @@ RingIri::evaluateLower()
 
     // An escaped head that moved on re-decides on its next lap.
     if (lowerEscaped_ != 0 &&
-        (!lower_.in().cur || lower_.in().cur->packet != lowerEscaped_)) {
+        (!lower_.in().cur ||
+         packets_->id(lower_.in().cur->slot) != lowerEscaped_)) {
         lowerEscaped_ = 0;
     }
 }
@@ -269,7 +270,8 @@ RingIri::evaluateUpper()
 
     // An escaped head that moved on re-decides on its next lap.
     if (upperEscaped_ != 0 &&
-        (!upper_.in().cur || upper_.in().cur->packet != upperEscaped_)) {
+        (!upper_.in().cur ||
+         packets_->id(upper_.in().cur->slot) != upperEscaped_)) {
         upperEscaped_ = 0;
     }
 }
@@ -321,14 +323,16 @@ RingIri::debugDump(std::ostream &out) const
     const auto side_info = [&](const char *tag, const RingSide &side) {
         out << " " << tag << "[latch=";
         if (side.in().cur) {
-            out << side.in().cur->packet << ":" << side.in().cur->index
+            out << packets_->id(side.in().cur->slot) << ":"
+                << side.in().cur->index
                 << "->" << side.in().cur->dst;
         } else {
             out << "-";
         }
         out << " buf=" << side.transitBuf.size();
         if (!side.transitBuf.empty()) {
-            out << "(hd " << side.transitBuf.front().packet << ":"
+            out << "(hd " << packets_->id(side.transitBuf.front().slot)
+                << ":"
                 << side.transitBuf.front().index << ")";
         }
         out << " worm=" << (side.out.inWorm() ? 1 : 0);

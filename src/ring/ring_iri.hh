@@ -52,11 +52,13 @@ class RingIri
      * @param cl_flits Flits in a cache-line packet (buffer depth).
      * @param wait_limit Cycles a blocked worm holds its latch before
      *        escaping with a recirculation lap (0 = escape at once).
+     * @param packets The network's packet table (route decisions
+     *        and escape bookkeeping key heads by packet id).
      * @param queue_packets Up/down queue depth in packets (paper: 1).
      */
     RingIri(NodeId subtree_lo, NodeId subtree_hi,
             std::uint32_t cl_flits, std::uint32_t wait_limit,
-            std::uint32_t queue_packets = 1);
+            PacketTable *packets, std::uint32_t queue_packets = 1);
 
     RingIri(const RingIri &) = delete;
     RingIri &operator=(const RingIri &) = delete;
@@ -112,12 +114,12 @@ class RingIri
         w.u64(upperEscaped_);
         w.u64(waitCycles_);
         w.u64(escapes_);
-        lower_.saveState(w);
-        upper_.saveState(w);
-        saveFlitFifo(w, upResp_);
-        saveFlitFifo(w, upReq_);
-        saveFlitFifo(w, downResp_);
-        saveFlitFifo(w, downReq_);
+        lower_.saveState(w, *packets_);
+        upper_.saveState(w, *packets_);
+        saveFlitFifo(w, upResp_, *packets_);
+        saveFlitFifo(w, upReq_, *packets_);
+        saveFlitFifo(w, downResp_, *packets_);
+        saveFlitFifo(w, downReq_, *packets_);
     }
 
     void
@@ -140,12 +142,27 @@ class RingIri
         upperEscaped_ = r.u64();
         waitCycles_ = r.u64();
         escapes_ = r.u64();
-        lower_.loadState(r);
-        upper_.loadState(r);
-        loadFlitFifo(r, upResp_);
-        loadFlitFifo(r, upReq_);
-        loadFlitFifo(r, downResp_);
-        loadFlitFifo(r, downReq_);
+        lower_.loadState(r, *packets_);
+        upper_.loadState(r, *packets_);
+        loadFlitFifo(r, upResp_, *packets_);
+        loadFlitFifo(r, upReq_, *packets_);
+        loadFlitFifo(r, downResp_, *packets_);
+        loadFlitFifo(r, downReq_, *packets_);
+    }
+
+    /**
+     * After every component's flits are re-interned: resolve the
+     * slots of the worms named by packet id (both outputs' held
+     * worms and the route memos; a memo whose packet has left the
+     * network gets noSlot, which no flit carries).
+     */
+    void
+    bindLoadedWorms()
+    {
+        lower_.out.bindLoadedWorm();
+        upper_.out.bindLoadedWorm();
+        lowerMemo_.slot = packets_->slotOf(lowerMemo_.packet);
+        upperMemo_.slot = packets_->slotOf(upperMemo_.packet);
     }
 
     RingSide &lower() { return lower_; }
@@ -247,10 +264,15 @@ class RingIri
     StagedFifo<Flit> &upQueue(PacketType type);
     StagedFifo<Flit> &downQueue(PacketType type);
 
-    /** Per-side memo of the incoming worm's routing decision. */
+    /**
+     * Per-side memo of the incoming worm's routing decision. Keyed by
+     * packet id for the checkpoint (the memo outlives its packet);
+     * body flits check it by slot.
+     */
     struct RouteMemo
     {
         PacketId packet = 0;
+        std::uint32_t slot = 0;
         bool valid = false;
         WormRoute route = WormRoute::Continue;
     };
@@ -279,6 +301,7 @@ class RingIri
     NodeId subtreeLo_;
     NodeId subtreeHi_;
     std::uint32_t waitLimit_;
+    PacketTable *packets_;
 
     RouteMemo lowerMemo_;
     RouteMemo upperMemo_;

@@ -18,7 +18,7 @@ RingNetwork::RingNetwork(const Params &params)
     const int num_pms = structure_.numProcessors();
     nics_.reserve(static_cast<std::size_t>(num_pms));
     for (NodeId pm = 0; pm < num_pms; ++pm)
-        nics_.emplace_back(pm, clFlits_, params_.nicBypass);
+        nics_.emplace_back(pm, clFlits_, params_.nicBypass, &packets_);
     // Long enough that the escape never fires at the paper's
     // operating points (queueing waits there are tens of cycles) yet
     // finite, so no blocking cycle can persist.
@@ -30,7 +30,8 @@ RingNetwork::RingNetwork(const Params &params)
     iris_.reserve(structure_.iris.size());
     for (const IriDesc &desc : structure_.iris) {
         iris_.emplace_back(desc.subtreeLo, desc.subtreeHi, clFlits_,
-                           wait_limit, params_.iriQueuePackets);
+                           wait_limit, &packets_,
+                           params_.iriQueuePackets);
     }
 
     // Partition IRI upper sides into clock domains: only the upper
@@ -133,7 +134,8 @@ RingNetwork::RingNetwork(const Params &params)
             from.out.connect(&to.in(), &to.accept(), &util_, link,
                              &occupancy_[r], ring.subtreeLo,
                              ring.subtreeHi, starvation_limit,
-                             &tracer_, trace_node, wake_mask, wake_id);
+                             &tracer_, trace_node, wake_mask, wake_id,
+                             &packets_);
         }
     }
     reseedSchedule();
@@ -441,10 +443,16 @@ RingNetwork::loadState(CkptReader &r)
     }
     for (RingOccupancy &occ : occupancy_)
         occ.occupied = r.i64();
+    packets_.beginLoad();
     for (RingNic &nic : nics_)
         nic.loadState(r);
     for (RingIri &iri : iris_)
         iri.loadState(r);
+    for (RingNic &nic : nics_)
+        nic.side().out.bindLoadedWorm();
+    for (RingIri &iri : iris_)
+        iri.bindLoadedWorms();
+    packets_.endLoad();
     const bool has_faults = r.boolean();
     if (has_faults != !sideFaults_.empty()) {
         throw CheckpointError(

@@ -6,10 +6,12 @@
 namespace hrsim
 {
 
-RingNic::RingNic(NodeId pm, std::uint32_t cl_flits, bool bypass)
+RingNic::RingNic(NodeId pm, std::uint32_t cl_flits, bool bypass,
+                 PacketTable *packets)
     : pm_(pm), bypass_(bypass), ringSource_(side_),
-      respSource_(outResp_), reqSource_(outReq_)
+      respSource_(outResp_), reqSource_(outReq_), packets_(packets)
 {
+    HRSIM_ASSERT(packets != nullptr);
     side_.transitBuf.setCapacity(cl_flits);
     outResp_.setCapacity(cl_flits);
     outReq_.setCapacity(cl_flits);
@@ -64,8 +66,15 @@ RingNic::evaluate(Cycle now)
         }
         // Poisoned worms (corrupted headers, or the kill token of a
         // truncated worm) drain out here but are never delivered.
-        if (flit.isTail() && deliver_ && !flit.poisoned)
-            deliver_(packetFromFlit(flit), now);
+        // The packet is read before the flit's slot is released.
+        const bool deliver =
+            flit.isTail() && deliver_ && !flit.poisoned;
+        Packet pkt;
+        if (deliver)
+            pkt = packets_->packet(flit);
+        packets_->release(flit.slot);
+        if (deliver)
+            deliver_(pkt, now);
     }
 
     // 2. Drive the output link: ring transit first, then responses,
@@ -96,8 +105,9 @@ RingNic::inject(const Packet &pkt)
 {
     HRSIM_ASSERT(canInject(pkt));
     StagedFifo<Flit> &queue = isRequest(pkt.type) ? outReq_ : outResp_;
+    const std::uint32_t slot = packets_->acquire(pkt);
     for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i)
-        queue.push(makeFlit(pkt, i));
+        queue.push(makeFlit(pkt, slot, i));
 }
 
 void
@@ -131,7 +141,8 @@ RingNic::debugDump(std::ostream &out) const
 {
     out << "NIC pm=" << pm_ << " latch=";
     if (side_.in().cur) {
-        out << side_.in().cur->packet << ":" << side_.in().cur->index
+        out << packets_->id(side_.in().cur->slot) << ":"
+            << side_.in().cur->index
             << "->" << side_.in().cur->dst;
     } else {
         out << "-";

@@ -38,8 +38,11 @@ class RingNic
      * @param pm PM id this NIC serves.
      * @param cl_flits Flits in a cache-line packet (buffer depth).
      * @param bypass Enable the ring-buffer bypass path.
+     * @param packets The network's packet table (slots are taken at
+     *        inject and returned as flits sink here).
      */
-    RingNic(NodeId pm, std::uint32_t cl_flits, bool bypass);
+    RingNic(NodeId pm, std::uint32_t cl_flits, bool bypass,
+            PacketTable *packets);
 
     RingNic(const RingNic &) = delete;
     RingNic &operator=(const RingNic &) = delete;
@@ -82,17 +85,17 @@ class RingNic
     void
     saveState(CkptWriter &w) const
     {
-        side_.saveState(w);
-        saveFlitFifo(w, outResp_);
-        saveFlitFifo(w, outReq_);
+        side_.saveState(w, *packets_);
+        saveFlitFifo(w, outResp_, *packets_);
+        saveFlitFifo(w, outReq_, *packets_);
     }
 
     void
     loadState(CkptReader &r)
     {
-        side_.loadState(r);
-        loadFlitFifo(r, outResp_);
-        loadFlitFifo(r, outReq_);
+        side_.loadState(r, *packets_);
+        loadFlitFifo(r, outResp_, *packets_);
+        loadFlitFifo(r, outReq_, *packets_);
     }
 
     /** Flits currently buffered in this NIC. */
@@ -166,6 +169,7 @@ class RingNic
     QueueSource reqSource_;
 
     DeliverFn deliver_;
+    PacketTable *packets_;
     /** Fault state + ledger; null (the fast case) without a plan. */
     const RingSideFaults *faults_ = nullptr;
     FaultAccounting *acct_ = nullptr;

@@ -124,18 +124,19 @@ struct FlitSlot
 
 /** Checkpoint a maybe-occupied slot: tag byte + flit when full. */
 inline void
-saveFlitSlot(CkptWriter &w, const FlitSlot &slot)
+saveFlitSlot(CkptWriter &w, const FlitSlot &slot,
+             const PacketTable &table)
 {
     w.boolean(slot.full);
     if (slot.full)
-        saveFlit(w, slot.flit);
+        saveFlit(w, slot.flit, table);
 }
 
 inline void
-loadFlitSlot(CkptReader &r, FlitSlot &slot)
+loadFlitSlot(CkptReader &r, FlitSlot &slot, PacketTable &table)
 {
     slot.full = r.boolean();
-    slot.flit = slot.full ? loadFlit(r) : Flit{};
+    slot.flit = slot.full ? loadFlit(r, table) : Flit{};
 }
 
 /** Single-flit input register with two-phase commit. */
@@ -152,8 +153,7 @@ struct RingLatch
             cur = staged;
             staged.reset();
         }
-    }
-};
+    }};
 
 /** Where the flit currently occupying an output link came from. */
 enum class RingSource : std::uint8_t
@@ -270,7 +270,9 @@ class RingOutput
      * -(2*iri+1) / -(2*iri+2) for IRI lower/upper sides.
      * @a wake_mask / @a wake_id name the downstream component in its
      * network's active mask, so staging a flit into a sleeping
-     * neighbor's latch wakes it.
+     * neighbor's latch wakes it. @a packets is the network's packet
+     * table (kill drops release slots; trace events and the worm
+     * bookkeeping read packet ids).
      */
     void
     connect(RingLatch *latch, const bool *accept_flag,
@@ -278,7 +280,8 @@ class RingOutput
             RingOccupancy *occupancy, NodeId subtree_lo,
             NodeId subtree_hi, std::uint32_t starvation_limit,
             FlitTracer *const *tracer_slot, NodeId trace_node,
-            ActiveMask *wake_mask, std::uint32_t wake_id)
+            ActiveMask *wake_mask, std::uint32_t wake_id,
+            PacketTable *packets)
     {
         downstream_ = latch;
         acceptFlag_ = accept_flag;
@@ -295,6 +298,7 @@ class RingOutput
         traceNode_ = trace_node;
         wakeMask_ = wake_mask;
         wakeId_ = wake_id;
+        packets_ = packets;
     }
 
     /**
@@ -343,6 +347,25 @@ class RingOutput
         inWorm_ = r.boolean();
         wormSrc_ = r.enumerant("ring worm source", RingSource::QueueB);
         wormPkt_ = r.u64();
+        wormSlot_ = 0;
+    }
+
+    /**
+     * After every component's flits are re-interned: find the slot
+     * of the worm holding the link (its remaining flits may sit in a
+     * component loaded after this one).
+     */
+    void
+    bindLoadedWorm()
+    {
+        if (!inWorm_)
+            return;
+        wormSlot_ = packets_->slotOf(wormPkt_);
+        if (wormSlot_ == PacketTable::noSlot) {
+            throw CheckpointError(
+                "checkpoint: ring link held by packet " +
+                std::to_string(wormPkt_) + " with no flit in flight");
+        }
     }
 
     /**
@@ -398,19 +421,19 @@ class RingOutput
                 const Flit *next = ring->peek();
                 if (!next)
                     return false; // starved: link held, idle cycle
-                HRSIM_ASSERT(next->packet == wormPkt_);
+                HRSIM_ASSERT(next->slot == wormSlot_);
                 return sendFrom(ring, RingSource::RingTransit, false);
             }
             if (wormSrc_ == RingSource::QueueA) {
                 if (!queue_a->peek())
                     return false;
-                HRSIM_ASSERT(queue_a->peek()->packet == wormPkt_);
+                HRSIM_ASSERT(queue_a->peek()->slot == wormSlot_);
                 return sendFrom(queue_a, RingSource::QueueA, false);
             }
             HRSIM_ASSERT(wormSrc_ == RingSource::QueueB);
             if (!queue_b->peek())
                 return false;
-            HRSIM_ASSERT(queue_b->peek()->packet == wormPkt_);
+            HRSIM_ASSERT(queue_b->peek()->slot == wormSlot_);
             return sendFrom(queue_b, RingSource::QueueB, false);
         }
 
@@ -479,16 +502,21 @@ class RingOutput
             ++*utilCounter_;
         HRSIM_TRACE_FLIT(
             tracerSlot_ ? *tracerSlot_ : nullptr, FlitEvent::Hop,
-            flit.packet, traceNode_,
+            packets_->id(flit.slot), traceNode_,
             static_cast<std::uint64_t>(occupancy_->occupied));
         streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
         if (flit.isTail()) {
             inWorm_ = false;
             wormSrc_ = RingSource::None;
         } else {
+            if (!inWorm_) {
+                // A multi-flit worm takes the link: its id stays
+                // the checkpointed worm id until the next one does.
+                wormPkt_ = packets_->id(flit.slot);
+                wormSlot_ = flit.slot;
+            }
             inWorm_ = true;
             wormSrc_ = kind;
-            wormPkt_ = flit.packet;
         }
         return true;
     }
@@ -563,7 +591,7 @@ class RingOutput
         if (!next)
             return; // starved: the rest of the worm is still upstream
         if (inWorm_)
-            HRSIM_ASSERT(next->packet == wormPkt_);
+            HRSIM_ASSERT(next->slot == wormSlot_);
         if (!f.releaseOnDrop && !f.tokenSent) {
             // Terminate the downstream fragment: hand it one
             // poisoned tail flit (the link-level error token of the
@@ -575,11 +603,13 @@ class RingOutput
             if (!downstreamAccepts())
                 return; // wait for latch space; flits queue behind
             HRSIM_ASSERT(!downstream_->staged);
+            // The token replaces the flit it is cut from, so the
+            // packet's live-flit count is unchanged.
             const bool was_tail = next->isTail();
             Flit token = *next;
             token.ttl = static_cast<std::uint16_t>(
                 token.sizeFlits - 1 - token.index + token.ttl);
-            token.index = token.sizeFlits - 1;
+            token.index = static_cast<std::uint16_t>(token.sizeFlits - 1);
             token.poisoned = true;
             source->consume();
             downstream_->staged = token;
@@ -592,6 +622,7 @@ class RingOutput
         const Flit flit = source->consume();
         if (acct_)
             ++acct_->droppedFlits;
+        packets_->release(flit.slot);
         if (f.releaseOnDrop) {
             // The flit leaves the ring into the fault; 1 + ttl in
             // case the victim is itself a truncated fragment whose
@@ -652,9 +683,14 @@ class RingOutput
     std::uint32_t starvationLimit_ = 0;
     std::uint32_t starve_ = 0; //!< cycles a ready queue was passed over
     std::uint64_t streamedFlits_ = 0;
+    PacketTable *packets_ = nullptr;
 
     bool inWorm_ = false;
     RingSource wormSrc_ = RingSource::None;
+    /** Slot of the worm holding the link (worm-identity asserts). */
+    std::uint32_t wormSlot_ = 0;
+    /** Id of the last multi-flit worm to take the link (checkpoint
+     *  state: it outlives the worm). */
     PacketId wormPkt_ = 0;
 
     /** Fault state + ledger; null (the fast case) without a plan. */
@@ -705,20 +741,20 @@ struct RingSide
      * post-load scheduling sweep recomputes it.
      */
     void
-    saveState(CkptWriter &w) const
+    saveState(CkptWriter &w, const PacketTable &table) const
     {
         HRSIM_ASSERT(!in().staged.full);
-        saveFlitSlot(w, in().cur);
-        saveFlitFifo(w, transitBuf);
+        saveFlitSlot(w, in().cur, table);
+        saveFlitFifo(w, transitBuf, table);
         out.saveState(w);
     }
 
     void
-    loadState(CkptReader &r)
+    loadState(CkptReader &r, PacketTable &table)
     {
-        loadFlitSlot(r, in().cur);
+        loadFlitSlot(r, in().cur, table);
         in().staged.reset();
-        loadFlitFifo(r, transitBuf);
+        loadFlitFifo(r, transitBuf, table);
         out.loadState(r);
     }
 

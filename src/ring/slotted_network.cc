@@ -11,9 +11,9 @@ namespace hrsim
 
 SlottedNic::SlottedNic(NodeId pm, std::uint32_t cl_flits,
                        NodeId ring_lo, NodeId ring_hi,
-                       std::uint32_t ring_slots)
+                       std::uint32_t ring_slots, PacketTable *packets)
     : pm_(pm), ringLo_(ring_lo), ringHi_(ring_hi),
-      ringSlots_(ring_slots)
+      ringSlots_(ring_slots), packets_(packets)
 {
     outResp_.setCapacity(cl_flits);
     outReq_.setCapacity(cl_flits);
@@ -32,8 +32,9 @@ SlottedNic::inject(const Packet &pkt)
 {
     HRSIM_ASSERT(canInject(pkt));
     StagedFifo<Flit> &queue = isRequest(pkt.type) ? outReq_ : outResp_;
+    const std::uint32_t slot = packets_->acquire(pkt);
     for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i)
-        queue.push(makeFlit(pkt, i));
+        queue.push(makeFlit(pkt, slot, i));
 }
 
 void
@@ -47,9 +48,9 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
             // Deliver a copy everywhere but the origin, and keep the
             // cell circulating until its lap completes.
             Flit cell = *port_.slot;
-            if (cell.src != pm_ && deliver_) {
+            if (deliver_ && packets_->record(cell.slot).src != pm_) {
                 // The delivered copy's dst names the receiving PM.
-                Packet copy = packetFromFlit(cell);
+                Packet copy = packets_->packet(cell);
                 copy.dst = pm_;
                 deliver_(copy, now);
             }
@@ -58,17 +59,17 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
                 outgoing = cell;
             } else {
                 occupancy->add(-1); // lap complete: cell retired
+                packets_->release(cell.slot);
             }
         } else if (port_.slot->dst == pm_) {
-            // Sink the cell; deliver when the whole packet arrived.
+            // Sink the cell; deliver when the whole packet arrived,
+            // i.e. when this was the packet's last live cell (cells
+            // of a unicast packet only ever leave by sinking here).
             const Flit &cell = *port_.slot;
             occupancy->add(-1);
-            const std::uint32_t have = ++assembly_[cell.packet];
-            if (have == cell.sizeFlits) {
-                assembly_.erase(cell.packet);
-                if (deliver_)
-                    deliver_(packetFromFlit(cell), now);
-            }
+            const Packet pkt = packets_->packet(cell);
+            if (packets_->release(cell.slot) && deliver_)
+                deliver_(pkt, now);
         } else {
             outgoing = port_.slot; // pass through
         }
@@ -132,10 +133,11 @@ SlottedNic::flitCount() const
 SlottedIri::SlottedIri(NodeId subtree_lo, NodeId subtree_hi,
                        std::uint32_t cl_flits, NodeId parent_lo,
                        NodeId parent_hi, std::uint32_t lower_slots,
-                       std::uint32_t upper_slots)
+                       std::uint32_t upper_slots, PacketTable *packets)
     : subtreeLo_(subtree_lo), subtreeHi_(subtree_hi),
       parentLo_(parent_lo), parentHi_(parent_hi),
-      lowerSlots_(lower_slots), upperSlots_(upper_slots)
+      lowerSlots_(lower_slots), upperSlots_(upper_slots),
+      packets_(packets)
 {
     HRSIM_ASSERT(subtree_lo < subtree_hi);
     upResp_.setCapacity(cl_flits);
@@ -169,12 +171,12 @@ SlottedIri::evaluateLower(UtilizationTracker &util,
         // the cell retries next time around.
         Flit cell = *lower_.slot;
         lower_.slot.reset();
-        const bool home = cell.src >= subtreeLo_ && cell.src < subtreeHi_;
+        const bool home = inSubtree(packets_->record(cell.slot).src);
         bool lap_consumed = true;
         if (home) {
             if (upReq_.canPush()) {
-                Flit copy = cell;
-                upReq_.push(copy);
+                upReq_.push(cell);
+                packets_->addCopy(cell.slot);
             } else {
                 lap_consumed = false;
             }
@@ -186,6 +188,7 @@ SlottedIri::evaluateLower(UtilizationTracker &util,
             outgoing = cell;
         } else {
             lowerOccupancy->add(-1); // lap complete: cell retired
+            packets_->release(cell.slot);
         }
     } else if (lower_.slot) {
         const Flit &cell = *lower_.slot;
@@ -242,12 +245,12 @@ SlottedIri::evaluateUpper(UtilizationTracker &util,
         Flit cell = *upper_.slot;
         upper_.slot.reset();
         const bool from_here =
-            cell.src >= subtreeLo_ && cell.src < subtreeHi_;
+            inSubtree(packets_->record(cell.slot).src);
         bool lap_consumed = true;
         if (!from_here) {
             if (downReq_.canPush()) {
-                Flit copy = cell;
-                downReq_.push(copy);
+                downReq_.push(cell);
+                packets_->addCopy(cell.slot);
             } else {
                 lap_consumed = false;
             }
@@ -259,6 +262,7 @@ SlottedIri::evaluateUpper(UtilizationTracker &util,
             outgoing = cell;
         } else {
             upperOccupancy->add(-1); // lap complete: cell retired
+            packets_->release(cell.slot);
         }
     } else if (upper_.slot) {
         const Flit &cell = *upper_.slot;
@@ -373,7 +377,7 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
         const RingDesc &desc = structure_.rings[ring];
         SlottedNic &nic = nics_.emplace_back(
             pm, clFlits_, desc.subtreeLo, desc.subtreeHi,
-            static_cast<std::uint32_t>(desc.slots.size()));
+            static_cast<std::uint32_t>(desc.slots.size()), &packets_);
         nic.occupancy = &occupancy_[ring];
         nic.setDeliver([this](const Packet &pkt, Cycle when) {
             delivered(pkt, when);
@@ -389,7 +393,7 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
             desc.subtreeLo, desc.subtreeHi, clFlits_,
             parent.subtreeLo, parent.subtreeHi,
             static_cast<std::uint32_t>(child.slots.size()),
-            static_cast<std::uint32_t>(parent.slots.size()));
+            static_cast<std::uint32_t>(parent.slots.size()), &packets_);
         iri.lowerOccupancy =
             &occupancy_[static_cast<std::size_t>(desc.childRing)];
         iri.upperOccupancy =

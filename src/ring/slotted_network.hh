@@ -14,7 +14,9 @@
  * always moves to the next node, so the ring can never block or
  * deadlock. Packets travel as independent cells (every flit carries
  * its own routing tag, as in the wormhole model's Flit) and are
- * reassembled at the destination by counting. A node may fill an
+ * reassembled at the destination by counting: the packet table's
+ * live-flit count of a unicast packet reaches zero exactly when its
+ * last cell sinks. A node may fill an
  * empty slot passing by (responses before requests); a cell that
  * needs to change rings is pulled into the IRI's transfer queue when
  * there is room, and otherwise simply takes another lap — Hector's
@@ -26,7 +28,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stable_pool.hh"
@@ -65,9 +66,11 @@ class SlottedNic
      *        classifying injected cells as staying (down-phase) or
      *        ascending (up-phase, which must leave the reserved
      *        slot free).
+     * @param packets The network's packet table.
      */
     SlottedNic(NodeId pm, std::uint32_t cl_flits, NodeId ring_lo,
-               NodeId ring_hi, std::uint32_t ring_slots);
+               NodeId ring_hi, std::uint32_t ring_slots,
+               PacketTable *packets);
 
     SlottedNic(const SlottedNic &) = delete;
     SlottedNic &operator=(const SlottedNic &) = delete;
@@ -99,8 +102,7 @@ class SlottedNic
     SlotPort port_;
     StagedFifo<Flit> outResp_;
     StagedFifo<Flit> outReq_;
-    /** Cells received per in-flight packet (reassembly by count). */
-    std::unordered_map<PacketId, std::uint32_t> assembly_;
+    PacketTable *packets_;
     DeliverFn deliver_;
 };
 
@@ -110,11 +112,13 @@ class SlottedIri
     /**
      * @param parent_lo / @param parent_hi PM range of the parent
      *        ring, classifying cells ascending onto it.
+     * @param packets The network's packet table (broadcast copies
+     *        into the transfer queues add live flits).
      */
     SlottedIri(NodeId subtree_lo, NodeId subtree_hi,
                std::uint32_t cl_flits, NodeId parent_lo,
                NodeId parent_hi, std::uint32_t lower_slots,
-               std::uint32_t upper_slots);
+               std::uint32_t upper_slots, PacketTable *packets);
 
     SlottedIri(const SlottedIri &) = delete;
     SlottedIri &operator=(const SlottedIri &) = delete;
@@ -162,6 +166,7 @@ class SlottedIri
     NodeId parentHi_;
     std::uint32_t lowerSlots_;
     std::uint32_t upperSlots_;
+    PacketTable *packets_;
 
     SlotPort lower_;
     SlotPort upper_;

@@ -24,6 +24,7 @@
 #include "common/types.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
+#include "proto/packet_table.hh"
 #include "stats/utilization.hh"
 
 namespace hrsim
@@ -133,6 +134,12 @@ class Network : public Checkpointable
         (void)acct;
     }
 
+    /**
+     * Metadata of the packets in flight (proto/packet_table.hh).
+     * Its live-flit total always equals flitsInFlight().
+     */
+    const PacketTable &packetTable() const { return packets_; }
+
     /** Attach (or detach, with nullptr) the flit event tracer. */
     void setTracer(FlitTracer *tracer) { tracer_ = tracer; }
     FlitTracer *tracer() const { return tracer_; }
@@ -179,6 +186,13 @@ class Network : public Checkpointable
      * tracer attachment without per-link re-wiring.
      */
     FlitTracer *tracer_ = nullptr;
+
+    /**
+     * This network's in-flight packet records. Concrete networks
+     * hand &packets_ to the components that inject, eject, trace or
+     * checkpoint flits.
+     */
+    PacketTable packets_;
 
   private:
     DeliveryHandler deliver_;

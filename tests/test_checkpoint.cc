@@ -591,6 +591,103 @@ TEST(CheckpointHostile, OutOfRangeEnumsAreRefused)
                   "packet type");
 }
 
+/** One flit in the checkpoint encoding (see saveFlit). */
+struct FlitRecord
+{
+    std::uint64_t packet = 7;
+    std::uint32_t index = 0;
+    std::uint32_t sizeFlits = 3;
+    std::int32_t dst = 2;
+    std::int32_t src = 1;
+    std::uint8_t type = 0;
+    std::uint64_t issueCycle = 40;
+    std::uint64_t reqId = 0;
+};
+
+void
+writeFlitRecord(CkptWriter &w, const FlitRecord &f)
+{
+    w.u64(f.packet);
+    w.u32(f.index);
+    w.u32(f.sizeFlits);
+    w.i32(f.dst);
+    w.i32(f.src);
+    w.u8(f.type);
+    w.u64(f.issueCycle);
+    w.u64(f.reqId);
+    w.u16(0);        // ttl
+    w.boolean(false); // poisoned
+}
+
+TEST(CheckpointHostile, MalformedFlitsAreRefused)
+{
+    const auto flits = [](CkptReader &r) {
+        PacketTable table;
+        table.beginLoad();
+        while (!r.atEnd())
+            loadFlit(r, table);
+    };
+    const auto refused = [&flits](std::vector<FlitRecord> records,
+                                  const std::string &field) {
+        CkptWriter w;
+        for (const FlitRecord &f : records)
+            writeFlitRecord(w, f);
+        expectRefused(w, flits, field);
+    };
+
+    FlitRecord empty;
+    empty.sizeFlits = 0;
+    refused({empty}, "sizeFlits 0");
+
+    FlitRecord never_tail;
+    never_tail.index = 3; // a worm this flit joins would never unbind
+    refused({never_tail}, "index 3");
+
+    FlitRecord huge;
+    huge.sizeFlits = maxPacketFlits + 1;
+    huge.index = maxPacketFlits;
+    refused({huge}, "sizeFlits 65536");
+
+    // Flits of one packet id must agree on the packet's metadata.
+    FlitRecord head;
+    FlitRecord body = head;
+    body.index = 1;
+    body.src = 5;
+    refused({head, body}, "disagree on src");
+    body = head;
+    body.index = 1;
+    body.issueCycle = 41;
+    refused({head, body}, "disagree on issueCycle");
+    body = head;
+    body.index = 1;
+    body.reqId = 9;
+    refused({head, body}, "disagree on reqId");
+    body = head;
+    body.index = 1;
+    body.sizeFlits = 4;
+    refused({head, body}, "disagree on sizeFlits");
+
+    // A consistent worm loads, one slot with one live flit per flit.
+    CkptWriter ok;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        FlitRecord f;
+        f.index = i;
+        writeFlitRecord(ok, f);
+    }
+    CkptReader reader(ok.data());
+    PacketTable table;
+    table.beginLoad();
+    Flit last;
+    for (int i = 0; i < 3; ++i)
+        last = loadFlit(reader, table);
+    EXPECT_TRUE(last.isTail());
+    EXPECT_EQ(table.slotOf(7), last.slot);
+    EXPECT_EQ(table.liveSlots(), 1u);
+    EXPECT_EQ(table.liveFlits(), 3u);
+    EXPECT_EQ(table.packet(last).issueCycle, 40u);
+    table.endLoad();
+}
+
 // ---------------------------------------------------------------- //
 // Crash-safe sweep journaling and warm-start forking
 

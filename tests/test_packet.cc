@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for packet types, the paper's sizing rules, and the
- * packet factory.
+ * Unit tests for packet types, the paper's sizing rules, the packet
+ * factory, and the per-network packet table behind 16-byte flits.
  */
 
 #include <gtest/gtest.h>
 
+#include "bit_identity_grid.hh"
+#include "core/system.hh"
 #include "proto/packet.hh"
 #include "proto/packet_factory.hh"
+#include "proto/packet_table.hh"
+#include "ring/slotted_network.hh"
 
 namespace hrsim
 {
@@ -86,9 +90,9 @@ TEST(Flit, HeadAndTailFlags)
     Packet pkt;
     pkt.id = 9;
     pkt.sizeFlits = 3;
-    const Flit head = makeFlit(pkt, 0);
-    const Flit body = makeFlit(pkt, 1);
-    const Flit tail = makeFlit(pkt, 2);
+    const Flit head = makeFlit(pkt, 0, 0);
+    const Flit body = makeFlit(pkt, 0, 1);
+    const Flit tail = makeFlit(pkt, 0, 2);
     EXPECT_TRUE(head.isHead());
     EXPECT_FALSE(head.isTail());
     EXPECT_FALSE(body.isHead());
@@ -97,16 +101,24 @@ TEST(Flit, HeadAndTailFlags)
     EXPECT_TRUE(tail.isTail());
 }
 
+TEST(Flit, LargestPacketNamesItsTail)
+{
+    // The 16-bit index/sizeFlits fields hold the largest packet.
+    Packet pkt;
+    pkt.sizeFlits = maxPacketFlits;
+    EXPECT_TRUE(makeFlit(pkt, 0, maxPacketFlits - 1).isTail());
+}
+
 TEST(Flit, SingleFlitPacketIsHeadAndTail)
 {
     Packet pkt;
     pkt.sizeFlits = 1;
-    const Flit only = makeFlit(pkt, 0);
+    const Flit only = makeFlit(pkt, 0, 0);
     EXPECT_TRUE(only.isHead());
     EXPECT_TRUE(only.isTail());
 }
 
-TEST(Flit, PacketRoundTripThroughFlit)
+TEST(PacketTable, PacketRoundTripThroughTable)
 {
     Packet pkt;
     pkt.id = 1234;
@@ -115,13 +127,155 @@ TEST(Flit, PacketRoundTripThroughFlit)
     pkt.dst = 17;
     pkt.sizeFlits = 5;
     pkt.issueCycle = 998877;
-    const Packet back = packetFromFlit(makeFlit(pkt, 2));
+    pkt.reqId = 42;
+    PacketTable table;
+    const std::uint32_t slot = table.acquire(pkt);
+    const Flit flit = makeFlit(pkt, slot, 2);
+    EXPECT_EQ(flit.slot, slot);
+    const Packet back = table.packet(flit);
     EXPECT_EQ(back.id, pkt.id);
     EXPECT_EQ(back.type, pkt.type);
     EXPECT_EQ(back.src, pkt.src);
     EXPECT_EQ(back.dst, pkt.dst);
     EXPECT_EQ(back.sizeFlits, pkt.sizeFlits);
     EXPECT_EQ(back.issueCycle, pkt.issueCycle);
+    EXPECT_EQ(back.reqId, pkt.reqId);
+}
+
+/** A packet of @a flits flits with id @a id. */
+Packet
+tablePacket(PacketId id, std::uint32_t flits)
+{
+    Packet pkt;
+    pkt.id = id;
+    pkt.src = 0;
+    pkt.dst = 1;
+    pkt.sizeFlits = flits;
+    return pkt;
+}
+
+TEST(PacketTable, SlotsComeBackLifo)
+{
+    PacketTable table;
+    const std::uint32_t a = table.acquire(tablePacket(1, 1));
+    const std::uint32_t b = table.acquire(tablePacket(2, 1));
+    const std::uint32_t c = table.acquire(tablePacket(3, 1));
+    EXPECT_EQ(table.liveSlots(), 3u);
+    EXPECT_TRUE(table.release(a));
+    EXPECT_TRUE(table.release(c));
+    // The most recently freed slot is handed out first.
+    EXPECT_EQ(table.acquire(tablePacket(4, 1)), c);
+    EXPECT_EQ(table.acquire(tablePacket(5, 1)), a);
+    const std::uint32_t fresh = table.acquire(tablePacket(6, 1));
+    EXPECT_NE(fresh, a);
+    EXPECT_NE(fresh, b);
+    EXPECT_NE(fresh, c);
+    EXPECT_EQ(table.id(b), 2u);
+    EXPECT_EQ(table.id(c), 4u);
+}
+
+TEST(PacketTable, SlotFreedOnlyWhenItsLastFlitLeaves)
+{
+    PacketTable table;
+    const std::uint32_t slot = table.acquire(tablePacket(7, 3));
+    EXPECT_EQ(table.liveFlits(), 3u);
+    EXPECT_FALSE(table.release(slot));
+    EXPECT_FALSE(table.release(slot));
+    EXPECT_EQ(table.liveSlots(), 1u);
+    EXPECT_EQ(table.id(slot), 7u); // still readable mid-drain
+    EXPECT_TRUE(table.release(slot));
+    EXPECT_EQ(table.liveSlots(), 0u);
+    EXPECT_EQ(table.liveFlits(), 0u);
+}
+
+TEST(PacketTable, BroadcastCopyAddsOne)
+{
+    PacketTable table;
+    const std::uint32_t slot = table.acquire(tablePacket(9, 1));
+    table.addCopy(slot);
+    table.addCopy(slot);
+    EXPECT_EQ(table.liveFlits(), 3u);
+    EXPECT_FALSE(table.release(slot));
+    EXPECT_FALSE(table.release(slot));
+    EXPECT_TRUE(table.release(slot));
+}
+
+TEST(PacketTable, KillTokensKeepTheCount)
+{
+    // Links dying under load truncate worms mid-flight: each kill
+    // sends one token that replaces the flit it is cut from and drops
+    // the rest, so the table stays equal to the flits in flight all
+    // the way. Two overlapping outages per network make sure heads
+    // have crossed when the links die.
+    SystemConfig mesh = SystemConfig::mesh(4, 64, 4);
+    mesh.faultPlan.events = {
+        testgrid::faultSpec("mesh.r5.east:down@1000..2000"),
+        testgrid::faultSpec("mesh.r9.south:down@1500..2500")};
+    SystemConfig ring = SystemConfig::ring("3:6", 64);
+    ring.faultPlan.events = {
+        testgrid::faultSpec("ring.nic2:down@1000..2000"),
+        testgrid::faultSpec("ring.l0.iri0.lower:down@1500..2500")};
+    for (SystemConfig *cfg : {&mesh, &ring}) {
+        SCOPED_TRACE(cfg == &mesh ? "mesh" : "ring");
+        cfg->sim = testgrid::shortSim();
+        cfg->faultPlan.retry.timeoutCycles = 800;
+        System system(*cfg);
+        while (system.now() < 3200) {
+            system.step(25);
+            ASSERT_EQ(system.network().packetTable().liveFlits(),
+                      system.network().flitsInFlight())
+                << "cycle " << system.now();
+        }
+        EXPECT_GT(system.faults()->accounting().droppedWorms, 0u);
+    }
+}
+
+TEST(PacketTable, LiveFlitsMatchFlitsInFlightAfterEveryGridConfig)
+{
+    testgrid::NamedConfigs grid = testgrid::bitIdentityGrid();
+    for (auto &entry : testgrid::faultAndBufferGrid())
+        grid.push_back(std::move(entry));
+    for (const auto &[name, cfg] : grid) {
+        SCOPED_TRACE(name);
+        System system(cfg);
+        system.run();
+        const PacketTable &table = system.network().packetTable();
+        EXPECT_EQ(table.liveFlits(), system.network().flitsInFlight());
+        EXPECT_LE(table.liveSlots(), table.liveFlits());
+    }
+}
+
+TEST(PacketTable, SlottedBroadcastsAndUnicastsDrainTheTable)
+{
+    SlottedRingNetwork::Params params;
+    params.topo = RingTopology::parse("2:2:4");
+    params.cacheLineBytes = 64;
+    SlottedRingNetwork net(params);
+    std::size_t deliveries = 0;
+    net.setDeliveryHandler(
+        [&deliveries](const Packet &, Cycle) { ++deliveries; });
+    PacketFactory factory(ChannelSpec::ring(), 64);
+    const int pms = net.numProcessors();
+    for (Cycle t = 0; t < 600; ++t) {
+        if (t < 200 && t % 10 == 0) {
+            const auto src = static_cast<NodeId>((t / 10) % pms);
+            Packet bcast = factory.makeRequest(src, broadcastNode,
+                                               false, t);
+            bcast.sizeFlits = 1;
+            if (net.canInject(src, bcast))
+                net.inject(src, bcast);
+            const Packet unicast = factory.makeRequest(
+                src, static_cast<NodeId>((src + 5) % pms), false, t);
+            if (net.canInject(src, unicast))
+                net.inject(src, unicast);
+        }
+        net.tick(t);
+        ASSERT_EQ(net.packetTable().liveFlits(), net.flitsInFlight())
+            << "cycle " << t;
+    }
+    EXPECT_GT(deliveries, 0u);
+    EXPECT_EQ(net.flitsInFlight(), 0u);
+    EXPECT_EQ(net.packetTable().liveSlots(), 0u);
 }
 
 TEST(PacketFactory, RequestFields)

@@ -66,6 +66,33 @@ TEST(SystemConfig, IdleSkipFalseRejected)
     EXPECT_THROW(System system(mesh), ConfigError);
 }
 
+TEST(SystemConfig, UnsupportedLineSizesRejected)
+{
+    // Not a whole number of 16-byte ring flits, empty, or a mesh
+    // packet too large for a flit's 16-bit size field.
+    for (const std::uint32_t line :
+         {0u, 8u, 24u, 100u, maxCacheLineBytes + 16}) {
+        for (SystemConfig cfg : {SystemConfig::ring("2:4", line),
+                                 SystemConfig::mesh(2, line, 4)}) {
+            try {
+                System system(cfg);
+                FAIL() << "cacheLineBytes = " << line << " must throw";
+            } catch (const ConfigError &err) {
+                EXPECT_NE(std::string(err.what())
+                              .find("cacheLineBytes = " +
+                                    std::to_string(line)),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+    }
+    EXPECT_TRUE(cacheLineSupported(16));
+    EXPECT_TRUE(cacheLineSupported(maxCacheLineBytes));
+    EXPECT_LE(ChannelSpec::mesh().cacheLineFlits(maxCacheLineBytes),
+              maxPacketFlits);
+    EXPECT_NO_THROW(System system(SystemConfig::mesh(2, 48, 4)));
+}
+
 TEST(System, RequestResponseConservation)
 {
     SystemConfig cfg = SystemConfig::ring("2:4", 32);

@@ -367,6 +367,12 @@ main(int argc, char **argv)
                 have_network = true;
             } else if (!std::strcmp(arg, "--line")) {
                 cfg.cacheLineBytes = argU32(argc, argv, i);
+                if (!cacheLineSupported(cfg.cacheLineBytes)) {
+                    badNumber("--line", argv[i],
+                              ("a positive multiple of 16, at most " +
+                               std::to_string(maxCacheLineBytes))
+                                  .c_str());
+                }
             } else if (!std::strcmp(arg, "--buffers")) {
                 cfg.meshBufferFlits = argU32(argc, argv, i);
             } else if (!std::strcmp(arg, "--speed")) {
