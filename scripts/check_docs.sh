@@ -16,6 +16,12 @@
 #      sections 1, 2, 3, ... without gaps, and every "DESIGN §N" or
 #      "DESIGN.md §N" in README.md and EXPERIMENTS.md names one of
 #      them, also where the citation wraps a line.
+#  paths: every repository path with a file extension that README.md,
+#      DESIGN.md or EXPERIMENTS.md cites (scripts/ab_bench.sh,
+#      src/mesh/mesh_router.hh, or mesh/mesh_router.hh relative to
+#      src/) exists. A path counts as a repository path when its
+#      first directory is a top-level directory of the repository or
+#      of src/. Patterns (*, {a,b}, <placeholder>) are skipped.
 #
 # Usage: scripts/check_docs.sh HRSIM_CLI README
 set -u
@@ -90,11 +96,34 @@ for doc in "$readme" "$docs/EXPERIMENTS.md"; do
     done
 done
 
+# Paths: resolve each cited path against the repository root or src/.
+path_re='[A-Za-z_][A-Za-z0-9_.{},*<>-]*(/[A-Za-z0-9_.{},*<>-]+)+'
+path_re+='\.[A-Za-z][A-Za-z0-9]*'
+for doc in "$readme" "$docs/DESIGN.md" "$docs/EXPERIMENTS.md"; do
+    while IFS= read -r path; do
+        [[ "$path" == *[\*{}\<\>]* ]] && continue
+        root=${path%%/*}
+        if [[ -d "$docs/$root" ]]; then
+            root=$docs
+        elif [[ -d "$docs/src/$root" ]]; then
+            root=$docs/src
+        else
+            continue # not a repository path (build/, OUT/, ...)
+        fi
+        if [[ ! -e "$root/$path" ]]; then
+            echo "$(basename "$doc") cites $path, which does not" \
+                 "exist" >&2
+            failed=1
+        fi
+    done < <(grep -oE "$path_re" "$doc" | sort -u)
+done
+
 if [[ $failed -ne 0 ]]; then
     echo "docs check failed: reconcile hrsim_cli --help, the CLI" \
-         "reference in $readme and the DESIGN.md citations" >&2
+         "reference in $readme, the DESIGN.md citations and the" \
+         "cited paths" >&2
     exit 1
 fi
 echo "docs check passed: hrsim_cli --help and the README CLI" \
-     "reference agree in both directions, and every DESIGN.md" \
-     "citation resolves"
+     "reference agree in both directions, every DESIGN.md citation" \
+     "resolves, and every cited repository path exists"

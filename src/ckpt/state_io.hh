@@ -79,7 +79,8 @@ saveFlit(CkptWriter &w, const Flit &flit, const PacketTable &table)
 /**
  * Decode one flit and re-intern it into @a table by packet id
  * (between PacketTable::beginLoad() and endLoad()). Refuses sizes
- * outside [1, maxPacketFlits], an index not below the size, and a
+ * outside [1, maxPacketFlits], an index not below the size, a
+ * destination that is not one of the restoring network's PMs, and a
  * flit whose packet metadata disagrees with an earlier flit of the
  * same id.
  */
@@ -105,6 +106,13 @@ loadFlit(CkptReader &r, PacketTable &table)
     flit.index = static_cast<std::uint16_t>(index);
     flit.sizeFlits = static_cast<std::uint16_t>(size);
     flit.dst = r.i32();
+    if (flit.dst < 0 || flit.dst >= table.loadPms()) {
+        throw CheckpointError("checkpoint: flit dst " +
+                              std::to_string(flit.dst) +
+                              " is not a PM of the restoring network "
+                              "(PMs 0.." +
+                              std::to_string(table.loadPms() - 1) + ")");
+    }
     meta.src = r.i32();
     flit.type = r.enumerant("flit type", PacketType::WriteResponse);
     meta.issueCycle = r.u64();
@@ -137,7 +145,7 @@ loadRng(CkptReader &r, Rng &rng)
 
 /**
  * Canonical FIFO save: visible count + elements in FIFO order.
- * Works for StagedFifo, ColumnFifo, and RingDeque (size()/at()).
+ * Works for StagedFifo and RingDeque (size()/at()).
  */
 template <typename Fifo, typename SaveElem>
 void

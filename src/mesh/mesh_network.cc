@@ -17,32 +17,20 @@ MeshNetwork::MeshNetwork(const Params &params)
 
     const int num_pms = params_.width * params_.width;
     const auto p = static_cast<std::size_t>(num_pms);
-    // Hot per-cycle state lives in flat columns indexed by router id
-    // (six FIFO cursor blocks, inputs E/W/S/N then outResp then
-    // outReq, and one changed/poked flag pair), bound as each router
-    // is built.
-    fifoCol_.resize(p * 6);
+    // The routers' changed/poked flag pairs live in one flat column
+    // indexed by router id, bound as each router is built.
     flagsCol_.resize(p);
     activeMask_.reset(p);
-    // Segment one arena so each router's buffered flits occupy
-    // adjacent cache lines (the routers themselves store only the
-    // queue bookkeeping; see MeshRouter's storage parameter).
-    const std::size_t arena_per =
-        MeshRouter::arenaFlits(bufferFlits_, clFlits_);
-    flitArena_.resize(static_cast<std::size_t>(num_pms) * arena_per);
-    routers_.reserve(static_cast<std::size_t>(num_pms));
+    routers_.reserve(p);
     for (NodeId id = 0; id < num_pms; ++id) {
         MeshRouter &router = routers_.emplace_back(
             id, params_.width, bufferFlits_, clFlits_, &packets_,
-            params_.roundRobinArbitration,
-            flitArena_.data() +
-                static_cast<std::size_t>(id) * arena_per);
+            params_.roundRobinArbitration);
         router.setDeliver([this](const Packet &pkt, Cycle when) {
             delivered(pkt, when);
         });
         router.setTracerSlot(&tracer_);
-        const auto idx = static_cast<std::size_t>(id);
-        router.bindColumns(&fifoCol_[idx * 6], &flagsCol_[idx],
+        router.bindColumns(&flagsCol_[static_cast<std::size_t>(id)],
                            &activeMask_);
     }
 
@@ -82,10 +70,10 @@ MeshNetwork::MeshNetwork(const Params &params)
         }
     }
     // Every group and link is registered now, so the tracker's
-    // counter pointers are stable — cache them (and the peer views)
-    // in each output port for the per-hop fast path.
+    // counter pointers are stable — cache them in each output port
+    // for the per-hop fast path.
     for (auto &router : routers_)
-        router.refreshViews();
+        router.cacheLinkCounters();
 }
 
 int
@@ -134,16 +122,14 @@ MeshNetwork::tick(Cycle now)
         for (MeshRouter &router : routers_)
             router.evaluate(now);
         // At saturation the sleep sweep rarely retires anyone, so
-        // amortize it: most ticks commit everything via one linear
-        // cursor sweep (router commits are exactly six FIFO-state
-        // commits each, and a clean FIFO's commit is a no-op) and
-        // keep the mask as-is — retaining an idle router is always
-        // sound, only *removal* needs the no-op proof. Every 16th
-        // saturated tick runs the real sweep so the mask can decay
-        // once load drops.
+        // amortize it: most ticks commit every router in one linear
+        // sweep (a clean FIFO's commit is a no-op) and keep the mask
+        // as-is — retaining an idle router is always sound, only
+        // *removal* needs the no-op proof. Every 16th saturated tick
+        // runs the real sweep so the mask can decay once load drops.
         if (++satTicks_ % 16 != 0) {
-            for (FifoState &state : fifoCol_)
-                state.commit();
+            for (MeshRouter &router : routers_)
+                router.commit();
             return;
         }
     } else {
@@ -158,10 +144,9 @@ MeshNetwork::tick(Cycle now)
     // waiting — and is re-woken by the arrival, injection or
     // downstream-credit poke that could let it move again.
     activeMask_.retain([this](std::uint32_t id) {
-        FifoState *states = &fifoCol_[static_cast<std::size_t>(id) * 6];
-        for (int q = 0; q < 6; ++q)
-            states[q].commit();
-        return routers_[id].sweepKeep();
+        MeshRouter &router = routers_[id];
+        router.commit();
+        return router.sweepKeep();
     });
     // Sleep soundness check: e-cube is deadlock-free and ejection
     // always sinks, so flits in flight imply some router just moved
@@ -311,7 +296,7 @@ void
 MeshNetwork::loadState(CkptReader &r)
 {
     satTicks_ = r.u32();
-    packets_.beginLoad();
+    packets_.beginLoad(numProcessors());
     std::vector<PacketId> worm_ids(routers_.size() * NumMeshPorts);
     for (std::size_t id = 0; id < routers_.size(); ++id)
         routers_[id].loadState(r, &worm_ids[id * NumMeshPorts]);

@@ -9,10 +9,10 @@
  * only, matching the paper's metric.
  *
  * The network ticks only awake routers, held in an ActiveMask bitmap
- * (sim/columns.hh); each router's six FIFO cursor blocks and its
- * changed/poked flag pair live in network-owned columns, so the
- * commit and sleep sweeps are linear walks over contiguous arrays.
- * See DESIGN.md section 10 for the scheduling invariants.
+ * (sim/columns.hh); each router's changed/poked flag pair lives in a
+ * network-owned column, and the routers themselves sit contiguously,
+ * so the commit and sleep sweeps are linear walks. See DESIGN.md
+ * section 10 for the scheduling invariants.
  */
 
 #ifndef HRSIM_MESH_MESH_NETWORK_HH
@@ -94,9 +94,6 @@ class MeshNetwork : public Network
     Params params_;
     std::uint32_t clFlits_;
     std::uint32_t bufferFlits_;
-    /** One flit-storage arena for every router queue, segmented per
-     * router (declared before routers_, which point into it). */
-    std::vector<Flit> flitArena_;
     /** Routers live contiguously so the tick sweep strides linearly
      * instead of chasing one heap pointer per router per phase. */
     StablePool<MeshRouter> routers_;
@@ -106,12 +103,10 @@ class MeshNetwork : public Network
     UtilizationTracker util_;
     UtilizationTracker::GroupId meshGroup_;
 
-    // Scheduler state: six FifoState cursor blocks per router at
-    // [id * 6] and one changed/poked flag pair per router, both
+    // Scheduler state: one changed/poked flag pair per router,
     // contiguous, plus the bitmap of awake routers. Router evaluation
     // order is immaterial (two-phase FIFOs); the mask scans in id
     // order so behaviour is easy to reason about.
-    std::vector<FifoState> fifoCol_;
     std::vector<RouterFlags> flagsCol_;
     ActiveMask activeMask_;
     /** Saturated ticks since the last amortized sleep sweep. */

@@ -24,26 +24,16 @@ oppositePort(MeshPort port)
 
 MeshRouter::MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
                        std::uint32_t queue_flits, PacketTable *packets,
-                       bool round_robin, Flit *storage)
+                       bool round_robin)
     : id_(id), width_(width), x_(id % width), y_(id / width),
       roundRobin_(round_robin), packets_(packets)
 {
     HRSIM_ASSERT(packets != nullptr);
     HRSIM_ASSERT(buffer_flits >= 1);
-    if (storage) {
-        for (auto &buf : inBuf_) {
-            buf.setCapacity(buffer_flits, storage);
-            storage += buffer_flits;
-        }
-        outResp_.setCapacity(queue_flits, storage);
-        storage += queue_flits;
-        outReq_.setCapacity(queue_flits, storage);
-    } else {
-        for (auto &buf : inBuf_)
-            buf.setCapacity(buffer_flits);
-        outResp_.setCapacity(queue_flits);
-        outReq_.setCapacity(queue_flits);
-    }
+    for (auto &buf : inBuf_)
+        buf.setCapacity(buffer_flits);
+    outResp_.setCapacity(queue_flits);
+    outReq_.setCapacity(queue_flits);
     inputBound_.fill(-1);
 }
 
@@ -55,7 +45,7 @@ MeshRouter::connect(MeshPort out, MeshRouter *neighbor,
     HRSIM_ASSERT(out != PortLocal && util != nullptr);
     Output &port = out_[static_cast<std::size_t>(out)];
     port.neighbor = neighbor;
-    port.peerBuf =
+    port.peer =
         &neighbor->inBuf_[static_cast<std::size_t>(oppositePort(out))];
     port.util = util;
     port.link = link;
@@ -108,13 +98,12 @@ MeshRouter::peekInput(int in) const
 inline void
 MeshRouter::traverseOutput(int out)
 {
-    Output &port = out_[static_cast<std::size_t>(out)];
-    const FifoView<Flit> src = port.src;
-    if (src.empty())
+    const Output &port = out_[static_cast<std::size_t>(out)];
+    if (port.src->empty())
         return; // worm starved: hold the port
-    if (!port.peer.canPush())
+    if (!port.peer->canPush())
         return; // blocked: flits wait in the input buffer
-    forwardFront(out, src.front());
+    forwardFront(out, port.src->front());
 }
 
 inline void
@@ -124,17 +113,17 @@ MeshRouter::forwardFront(int out, const Flit &flit)
     // downstream buffer: one 16-byte element copy.
     Output &port = out_[static_cast<std::size_t>(out)];
     HRSIM_ASSERT(flit.slot == port.wormSlot);
-    port.peer.pushFrom(flit);
+    port.peer->pushFrom(flit);
     hot_->changed = true;
     wakeNeighbor(port.neighbor);
     if (*port.utilMeasuring)
         ++*port.utilCounter;
     HRSIM_TRACE_FLIT(tracerSlot_ ? *tracerSlot_ : nullptr,
                      FlitEvent::Hop, packets_->id(flit.slot), id_,
-                     port.peer.totalSize());
+                     port.peer->totalSize());
     streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
     const bool tail = flit.isTail();
-    port.src.dropFront();
+    port.src->dropFront();
     if (port.srcUpstream)
         wakeNeighbor(port.srcUpstream);
     if (tail)
@@ -148,21 +137,23 @@ MeshRouter::evaluatePorts(Cycle now)
     // (staged pushes only become visible at commit, so this cannot
     // race with neighbors). If nothing is visible the cycle is a
     // no-op, even when an output is still owned: an owned-but-starved
-    // port just holds its binding. The six cursor blocks are
-    // contiguous in the network's column, so the whole visibility
-    // scan reads one or two cache lines off a single base pointer.
-    // It is straight-line code: which queues hold flits is exactly
-    // the data-dependent outcome a branch would mispredict on.
+    // port just holds its binding. The scan reads the six queues'
+    // in-object cursors, and it is straight-line code: which queues
+    // hold flits is exactly the data-dependent outcome a branch would
+    // mispredict on.
     unsigned bits = 0;
-    for (int in = 0; in < PortLocal; ++in)
-        bits |= static_cast<unsigned>(col_[in].visible != 0) << in;
+    for (int in = 0; in < PortLocal; ++in) {
+        bits |= static_cast<unsigned>(
+                    !inBuf_[static_cast<std::size_t>(in)].empty())
+                << in;
+    }
     // The local input sees the PM queue its worm is bound to, or
     // either one at a packet boundary: bit 0 picks the response
     // queue, bit 1 the request queue.
     static constexpr std::uint8_t localPick[] = {3, 1, 2};
     const unsigned queues =
-        static_cast<unsigned>(col_[4].visible != 0) |
-        static_cast<unsigned>(col_[5].visible != 0) << 1;
+        static_cast<unsigned>(!outResp_.empty()) |
+        static_cast<unsigned>(!outReq_.empty()) << 1;
     bits |= static_cast<unsigned>(
                 (queues &
                  localPick[static_cast<std::size_t>(localSrc_)]) != 0)
@@ -231,21 +222,27 @@ MeshRouter::grantOutput(int out, int in)
     ownedMask_ |= static_cast<PortMask>(1u << out);
     port.rrPtr = (in + 1) % NumMeshPorts;
     hot_->changed = true;
-    if (in == PortLocal) {
-        if (localSrc_ == LocalSrc::None) {
-            // Bind the queue now: a packet arriving in the other
-            // queue before the first flit crosses must not steal the
-            // port (responses only outrank requests at packet
-            // boundaries).
-            localSrc_ =
-                outResp_.empty() ? LocalSrc::Req : LocalSrc::Resp;
-        }
-        port.src = (localSrc_ == LocalSrc::Resp ? outResp_ : outReq_)
-                       .view();
+    if (in == PortLocal && localSrc_ == LocalSrc::None) {
+        // Bind the queue now: a packet arriving in the other queue
+        // before the first flit crosses must not steal the port
+        // (responses only outrank requests at packet boundaries).
+        localSrc_ = outResp_.empty() ? LocalSrc::Req : LocalSrc::Resp;
+    }
+    cacheSource(out);
+}
+
+void
+MeshRouter::cacheSource(int out)
+{
+    Output &port = out_[static_cast<std::size_t>(out)];
+    if (port.owner == PortLocal) {
+        HRSIM_ASSERT(localSrc_ != LocalSrc::None);
+        port.src = localSrc_ == LocalSrc::Resp ? &outResp_ : &outReq_;
         port.srcUpstream = nullptr;
     } else {
-        port.src = inBuf_[static_cast<std::size_t>(in)].view();
-        port.srcUpstream = upstream_[static_cast<std::size_t>(in)];
+        const auto in = static_cast<std::size_t>(port.owner);
+        port.src = &inBuf_[in];
+        port.srcUpstream = upstream_[in];
         HRSIM_ASSERT(port.srcUpstream != nullptr);
     }
 }
@@ -253,8 +250,8 @@ MeshRouter::grantOutput(int out, int in)
 void
 MeshRouter::ejectLocal(Cycle now)
 {
-    Output &port = out_[PortLocal];
-    const FifoView<Flit> src = port.src;
+    const Output &port = out_[PortLocal];
+    StagedFifo<Flit> &src = *port.src;
     if (src.empty())
         return; // worm starved: hold the port
     // Ejection: the PM always sinks. Copy the flit out first — the
@@ -297,9 +294,9 @@ MeshRouter::traverseFaulted(int out)
         return;
     }
     const Output &port = out_[o];
-    if (port.src.empty() || !port.peer.canPush())
+    if (port.src->empty() || !port.peer->canPush())
         return; // starved or blocked: hold the port
-    Flit flit = port.src.front();
+    Flit flit = port.src->front();
     auto &kill = faults_->out[o];
     if (flit.isHead() && faults_->portCorrupt[o] != 0) {
         // Corrupt fault: the header crossing the bad link poisons
@@ -328,7 +325,7 @@ MeshRouter::unbindOutput(int out)
         localSrc_ = LocalSrc::None;
     port.owner = -1;
     port.wormSlot = 0;
-    port.src = {};
+    port.src = nullptr;
     port.srcUpstream = nullptr;
 }
 
@@ -338,7 +335,7 @@ MeshRouter::killOutput(int out)
     Output &port = out_[static_cast<std::size_t>(out)];
     if (port.owner == -1)
         return; // nothing bound to the dead link yet
-    const FifoView<Flit> src = port.src;
+    StagedFifo<Flit> &src = *port.src;
     if (src.empty())
         return; // starved: the rest of the worm is still upstream
     const Flit *next = &src.front();
@@ -365,13 +362,13 @@ MeshRouter::killOutput(int out)
         // to its ejection port, where the poison suppresses delivery.
         // The token replaces the flit it is cut from, so the packet's
         // live-flit count is unchanged.
-        HRSIM_ASSERT(port.peerBuf != nullptr);
-        if (!port.peer.canPush())
+        HRSIM_ASSERT(port.peer != nullptr);
+        if (!port.peer->canPush())
             return; // wait for space; credit wake re-runs this
         Flit token = *next;
         token.index = static_cast<std::uint16_t>(token.sizeFlits - 1);
         token.poisoned = true;
-        port.peer.pushFrom(token);
+        port.peer->pushFrom(token);
         wakeNeighbor(port.neighbor);
         kill.terminator = false;
     } else {
@@ -394,19 +391,10 @@ MeshRouter::killOutput(int out)
     }
 }
 
-void
-MeshRouter::commit()
-{
-    for (auto &buf : inBuf_)
-        buf.commit();
-    outResp_.commit();
-    outReq_.commit();
-}
-
 bool
 MeshRouter::canInject(const Packet &pkt) const
 {
-    const MeshFifo &queue =
+    const StagedFifo<Flit> &queue =
         isRequest(pkt.type) ? outReq_ : outResp_;
     return queue.producerSpace() >= pkt.sizeFlits;
 }
@@ -415,17 +403,10 @@ void
 MeshRouter::inject(const Packet &pkt)
 {
     HRSIM_ASSERT(canInject(pkt));
-    MeshFifo &queue = isRequest(pkt.type) ? outReq_ : outResp_;
+    StagedFifo<Flit> &queue = isRequest(pkt.type) ? outReq_ : outResp_;
     const std::uint32_t slot = packets_->acquire(pkt);
     for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i)
         queue.push(makeFlit(pkt, slot, i));
-}
-
-const MeshFifo &
-MeshRouter::inputBuffer(MeshPort port) const
-{
-    HRSIM_ASSERT(port != PortLocal);
-    return inBuf_[static_cast<std::size_t>(port)];
 }
 
 std::uint64_t
@@ -481,28 +462,83 @@ MeshRouter::loadState(CkptReader &r, PacketId *worm_ids)
     streamedFlits_ = r.u64();
     hot_->changed = r.boolean();
     hot_->poked = r.boolean();
+    checkLoadedPorts();
     // Rebuild the derived per-grant caches (grantOutput()'s recipe):
-    // the source view and credit-wake target are fixed for the worm's
-    // lifetime, so they follow directly from the owner input.
+    // the source queue and credit-wake target are fixed for the
+    // worm's lifetime, so they follow directly from the owner input.
     for (std::size_t out = 0; out < NumMeshPorts; ++out) {
         Output &port = out_[out];
-        if (port.owner == -1) {
-            port.src = {};
-            port.srcUpstream = nullptr;
-        } else if (port.owner == PortLocal) {
-            HRSIM_ASSERT(localSrc_ != LocalSrc::None);
-            port.src =
-                (localSrc_ == LocalSrc::Resp ? outResp_ : outReq_)
-                    .view();
-            port.srcUpstream = nullptr;
-        } else {
-            port.src =
-                inBuf_[static_cast<std::size_t>(port.owner)].view();
-            port.srcUpstream =
-                upstream_[static_cast<std::size_t>(port.owner)];
-            HRSIM_ASSERT(port.srcUpstream != nullptr);
+        port.src = nullptr;
+        port.srcUpstream = nullptr;
+        if (port.owner != -1)
+            cacheSource(static_cast<int>(out));
+    }
+}
+
+void
+MeshRouter::checkLoadedPorts() const
+{
+    const auto refuse = [this](const std::string &what) {
+        throw CheckpointError("checkpoint: mesh router " +
+                              std::to_string(id_) + " " + what);
+    };
+    const auto port_index = [&refuse](int value, bool allow_none,
+                                      const std::string &field) {
+        if (value < (allow_none ? -1 : 0) || value >= NumMeshPorts) {
+            refuse(field + " " + std::to_string(value) +
+                   " outside [" + (allow_none ? "-1" : "0") + ", " +
+                   std::to_string(NumMeshPorts - 1) + "]");
+        }
+    };
+    // Ranges first: every later check indexes by these values.
+    PortMask bound = 0;
+    PortMask owned = 0;
+    for (int p = 0; p < NumMeshPorts; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        const std::string n = std::to_string(p);
+        port_index(inputBound_[i], true, "inputBound[" + n + "]");
+        port_index(out_[i].owner, true, "output " + n + " owner");
+        port_index(out_[i].rrPtr, false, "output " + n + " rrPtr");
+        if (inputBound_[i] != -1)
+            bound |= static_cast<PortMask>(1u << p);
+        if (out_[i].owner != -1)
+            owned |= static_cast<PortMask>(1u << p);
+    }
+    // Bindings pair bound inputs with owned outputs one to one, and
+    // both ends of a worm's binding must be wired links.
+    for (int p = 0; p < NumMeshPorts; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        const int out = inputBound_[i];
+        if (out != -1 && out_[static_cast<std::size_t>(out)].owner != p) {
+            refuse("inputBound[" + std::to_string(p) + "] names output " +
+                   std::to_string(out) + ", whose owner disagrees");
+        }
+        const int owner = out_[i].owner;
+        if (owner == -1)
+            continue;
+        if (inputBound_[static_cast<std::size_t>(owner)] != p) {
+            refuse("output " + std::to_string(p) + " owner is input " +
+                   std::to_string(owner) +
+                   ", whose inputBound disagrees");
+        }
+        if (p != PortLocal && out_[i].peer == nullptr)
+            refuse("owner binds unwired output " + std::to_string(p));
+        if (owner != PortLocal &&
+            upstream_[static_cast<std::size_t>(owner)] == nullptr) {
+            refuse("output " + std::to_string(p) +
+                   " owner is unwired input " + std::to_string(owner));
         }
     }
+    if (boundMask_ != bound) {
+        refuse("boundMask " + std::to_string(boundMask_) +
+               " disagrees with inputBound");
+    }
+    if (ownedMask_ != owned) {
+        refuse("ownedMask " + std::to_string(ownedMask_) +
+               " disagrees with the output owners");
+    }
+    if ((localSrc_ != LocalSrc::None) != (inputBound_[PortLocal] != -1))
+        refuse("localSrc disagrees with the local input's binding");
 }
 
 void

@@ -49,17 +49,11 @@ enum MeshPort : int
 /** The port on the neighbor that faces back at @a port. */
 MeshPort oppositePort(MeshPort port);
 
-/**
- * Router queues skip any inline small-buffer: six queues per router
- * would grow MeshRouter ~3x, and the per-cycle sweep over all
- * routers is cache-footprint-bound (measured slower inline, both
- * with heap-allocated routers and with the contiguous pool layout).
- * ColumnFifo additionally lets the network hoist the six cursor
- * blocks into a contiguous FifoState column (bindColumns), so the
- * end-of-cycle commit sweep and the neighbors' canPush() probes read
- * hot columns instead of router objects.
- */
-using MeshFifo = ColumnFifo<Flit>;
+// A router holds six of these in-object (four input buffers, two PM
+// output queues); keeping each at cursors plus one pointer keeps the
+// router's per-cycle state compact.
+static_assert(sizeof(StagedFifo<Flit>) == 32,
+              "a flit queue is six uint32 cursors plus its buffer");
 
 /**
  * Port-granular activity mask: the network's ActiveMask says *which*
@@ -155,14 +149,6 @@ class MeshRouter
   public:
     using DeliverFn = std::function<void(const Packet &, Cycle)>;
 
-    /** Flit slots one router's six queues need in an arena. */
-    static std::size_t
-    arenaFlits(std::uint32_t buffer_flits, std::uint32_t queue_flits)
-    {
-        return 4 * static_cast<std::size_t>(buffer_flits) +
-               2 * static_cast<std::size_t>(queue_flits);
-    }
-
     /**
      * @param id PM id (also the router's position in the mesh).
      * @param width Mesh edge length.
@@ -172,15 +158,10 @@ class MeshRouter
      *        inject and returned at ejection or kill drop).
      * @param round_robin Rotate output arbitration (paper default);
      *        false selects fixed-priority (ablation only).
-     * @param storage Optional external flit storage for all six
-     *        queues, arenaFlits() elements (the network passes one
-     *        arena segment per router so a router's buffered flits
-     *        sit on adjacent cache lines); nullptr lets each queue
-     *        heap-allocate its own buffer.
      */
     MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
                std::uint32_t queue_flits, PacketTable *packets,
-               bool round_robin = true, Flit *storage = nullptr);
+               bool round_robin = true);
 
     MeshRouter(const MeshRouter &) = delete;
     MeshRouter &operator=(const MeshRouter &) = delete;
@@ -245,8 +226,15 @@ class MeshRouter
     /** External event: ensure the next retain keeps this router. */
     void poke() { hot_->poked = true; }
 
-    /** End-of-cycle commit of all router FIFOs. */
-    void commit();
+    /** End-of-cycle commit of all six router FIFOs. */
+    void
+    commit()
+    {
+        for (auto &buf : inBuf_)
+            buf.commit();
+        outResp_.commit();
+        outReq_.commit();
+    }
 
     bool canInject(const Packet &pkt) const;
     void inject(const Packet &pkt);
@@ -260,38 +248,29 @@ class MeshRouter
 
     /**
      * Bind the router to its network columns (see sim/columns.hh):
-     * the six queue cursor blocks move into @a states (inBuf_[0..3],
-     * outResp_, outReq_ in that order), the changed/poked flag pair
-     * lives at @a flags, and pushing a flit into a neighbor's input
-     * buffer wakes the neighbor (by its PM id) in @a wake. Called
-     * once at construction, before connect().
+     * the changed/poked flag pair lives at @a flags, and pushing a
+     * flit into a neighbor's input buffer wakes the neighbor (by its
+     * PM id) in @a wake. Called once at construction, before
+     * connect().
      */
     void
-    bindColumns(FifoState *states, RouterFlags *flags,
-                ActiveMask *wake)
+    bindColumns(RouterFlags *flags, ActiveMask *wake)
     {
-        for (std::size_t p = 0; p < 4; ++p)
-            inBuf_[p].bindState(&states[p]);
-        outResp_.bindState(&states[4]);
-        outReq_.bindState(&states[5]);
-        col_ = states;
         hot_ = flags;
         wakeMask_ = wake;
     }
 
     /**
-     * Cache the flat peer-buffer views and the utilization counter
-     * pointers of every wired output. The network calls this once
-     * every link exists: registering a link may move the tracker's
-     * counter storage.
+     * Cache the utilization counter pointers of every wired output.
+     * The network calls this once every link exists: registering a
+     * link may move the tracker's counter storage.
      */
     void
-    refreshViews()
+    cacheLinkCounters()
     {
         for (auto &port : out_) {
-            if (port.peerBuf == nullptr)
+            if (port.peer == nullptr)
                 continue;
-            port.peer = port.peerBuf->view();
             port.utilMeasuring = port.util->measuringFlag();
             port.utilCounter = port.util->transferCounter(port.link);
         }
@@ -309,9 +288,6 @@ class MeshRouter
     }
 
     NodeId id() const { return id_; }
-
-    /** Directional input buffer (for tests). */
-    const MeshFifo &inputBuffer(MeshPort port) const;
 
     /** Flits currently buffered in this router. */
     std::uint64_t flitCount() const;
@@ -341,8 +317,10 @@ class MeshRouter
      * Checkpoint hooks (tick boundary): the six queues, the crossbar
      * binding state, and the changed/poked flags (live state — an
      * unconsumed poke is what re-wakes a back-pressured worm). The
-     * cached source views and upstream pointers of granted ports are
-     * derived; loadState() rebuilds them with grantOutput()'s recipe.
+     * cached source queues and upstream pointers of granted ports are
+     * derived; loadState() range-checks the binding state against
+     * this router's wiring, then rebuilds them with grantOutput()'s
+     * recipe.
      * A granted port is saved by its worm's packet id; loadState()
      * leaves those ids in @a worm_ids (NumMeshPorts entries) and
      * bindLoadedWorms() turns them into slots once every router's
@@ -358,6 +336,17 @@ class MeshRouter
 
     /** Bind output @a out to the worm whose head waits on @a in. */
     void grantOutput(int out, int in);
+
+    /** Cache owned output @a out's source queue and credit-wake
+     *  target from its owner input. */
+    void cacheSource(int out);
+
+    /**
+     * Refuse decoded binding state (owners, rrPtr, inputBound, the
+     * port masks, localSrc) that is out of range, self-inconsistent
+     * or names an unwired link.
+     */
+    void checkLoadedPorts() const;
 
     /**
      * Move one flit across owned directional output @a out if flow
@@ -411,9 +400,9 @@ class MeshRouter
     int y_;
     bool roundRobin_;
 
-    std::array<MeshFifo, 4> inBuf_;
-    MeshFifo outResp_;
-    MeshFifo outReq_;
+    std::array<StagedFifo<Flit>, 4> inBuf_;
+    StagedFifo<Flit> outResp_;
+    StagedFifo<Flit> outReq_;
 
     /** Which queue the local input's current worm drains from. */
     enum class LocalSrc : std::uint8_t { None, Resp, Req };
@@ -431,18 +420,16 @@ class MeshRouter
         /** The owner worm's source queue, cached at grant so each
          * streamed flit skips the peekInput() owner/localSrc
          * dispatch (the queue is fixed for the worm's lifetime). */
-        FifoView<Flit> src{};
+        StagedFifo<Flit> *src = nullptr;
         /** Credit-wake target for pops from src: the upstream
          * feeder for directional inputs, null for the local port. */
         MeshRouter *srcUpstream = nullptr;
         MeshRouter *neighbor = nullptr;
         /** The neighbor's facing input buffer (set at connect). */
-        MeshFifo *peerBuf = nullptr;
-        /** Flat handle onto peerBuf (cached by refreshViews()). */
-        FifoView<Flit> peer{};
+        StagedFifo<Flit> *peer = nullptr;
         UtilizationTracker *util = nullptr;
         UtilizationTracker::LinkId link = 0;
-        /** Cached tracker internals (refreshViews): one flag load
+        /** Cached tracker internals (cacheLinkCounters): one flag load
          * and one increment per hop instead of two vector walks. */
         const bool *utilMeasuring = nullptr;
         std::uint64_t *utilCounter = nullptr;
@@ -454,9 +441,6 @@ class MeshRouter
     RouterFlags *hot_ = nullptr;
     /** This router's row of the network's e-cube LUT. */
     const std::uint8_t *routeRow_ = nullptr;
-    /** The six contiguous column cursor blocks: the visibility scan
-     * reads them with one base pointer instead of six st_ hops. */
-    const FifoState *col_ = nullptr;
     /** Port activity: inputs bound to an output worm. */
     PortMask boundMask_ = 0;
     /** Port activity: outputs owned by an input worm. */

@@ -13,8 +13,9 @@ PacketTable::liveFlits() const
 }
 
 void
-PacketTable::beginLoad()
+PacketTable::beginLoad(NodeId num_pms)
 {
+    loadPms_ = num_pms;
     records_.clear();
     free_.clear();
     loadIndex_.clear();

@@ -130,9 +130,13 @@ class PacketTable
 
     /**
      * Checkpoint load, step 1: forget every packet. The network
-     * re-interns each decoded flit, then calls endLoad().
+     * re-interns each decoded flit, then calls endLoad(). Decoded
+     * flits must be headed to one of the network's @a num_pms PMs.
      */
-    void beginLoad();
+    void beginLoad(NodeId num_pms);
+
+    /** PMs a decoded flit may be headed to: ids [0, loadPms()). */
+    NodeId loadPms() const { return loadPms_; }
 
     /**
      * Checkpoint load, step 2: count one decoded flit of the packet
@@ -163,6 +167,7 @@ class PacketTable
     std::vector<PacketRecord> records_;
     std::vector<std::uint32_t> free_; //!< LIFO stack of free slots
     std::unordered_map<PacketId, LoadEntry> loadIndex_;
+    NodeId loadPms_ = 0;
 };
 
 } // namespace hrsim

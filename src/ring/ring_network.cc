@@ -443,7 +443,7 @@ RingNetwork::loadState(CkptReader &r)
     }
     for (RingOccupancy &occ : occupancy_)
         occ.occupied = r.i64();
-    packets_.beginLoad();
+    packets_.beginLoad(numProcessors());
     for (RingNic &nic : nics_)
         nic.loadState(r);
     for (RingIri &iri : iris_)

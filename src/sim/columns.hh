@@ -3,14 +3,14 @@
  * Tick-engine scheduling primitives: the two-level bitmap active mask
  * and the mesh routers' hot flag pair.
  *
- * Each network holds its hot per-cycle state in flat struct-of-arrays
- * columns — ring input latches and acceptance flags (ring_node.hh
- * points RingSide at them), mesh FIFO cursor blocks (FifoState
- * columns bound through ColumnFifo) and the mesh routers'
- * changed/poked flags — so the evaluate/commit phases are linear
- * sweeps over contiguous arrays instead of walks over node objects.
- * Node classes keep their cold state and logic and reach the hot
- * state through handles bound once at network construction.
+ * Each network holds some hot per-cycle state in flat
+ * struct-of-arrays columns — ring input latches and acceptance flags
+ * (ring_node.hh points RingSide at them) and the mesh routers'
+ * changed/poked flags — so the sleep sweeps and the cross-node
+ * handshakes read contiguous arrays instead of node objects. Node
+ * classes keep the rest of their state, their FIFOs included, and
+ * reach the columns through handles bound once at network
+ * construction.
  */
 
 #ifndef HRSIM_SIM_COLUMNS_HH

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +31,9 @@
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "fault/fault_plan.hh"
+#include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
+#include "ring/ring_network.hh"
 
 #include <filesystem>
 #include <fstream>
@@ -623,7 +627,7 @@ TEST(CheckpointHostile, MalformedFlitsAreRefused)
 {
     const auto flits = [](CkptReader &r) {
         PacketTable table;
-        table.beginLoad();
+        table.beginLoad(4);
         while (!r.atEnd())
             loadFlit(r, table);
     };
@@ -642,6 +646,13 @@ TEST(CheckpointHostile, MalformedFlitsAreRefused)
     FlitRecord never_tail;
     never_tail.index = 3; // a worm this flit joins would never unbind
     refused({never_tail}, "index 3");
+
+    // dst must be one of the restoring network's PMs (here 0..3).
+    FlitRecord far;
+    far.dst = 4;
+    refused({far}, "dst 4");
+    far.dst = -2; // broadcast: slotted rings never checkpoint
+    refused({far}, "dst -2");
 
     FlitRecord huge;
     huge.sizeFlits = maxPacketFlits + 1;
@@ -676,7 +687,7 @@ TEST(CheckpointHostile, MalformedFlitsAreRefused)
     }
     CkptReader reader(ok.data());
     PacketTable table;
-    table.beginLoad();
+    table.beginLoad(4);
     Flit last;
     for (int i = 0; i < 3; ++i)
         last = loadFlit(reader, table);
@@ -686,6 +697,227 @@ TEST(CheckpointHostile, MalformedFlitsAreRefused)
     EXPECT_EQ(table.liveFlits(), 3u);
     EXPECT_EQ(table.packet(last).issueCycle, 40u);
     table.endLoad();
+}
+
+TEST(CheckpointHostile, FifoDeeperThanCapacityIsRefused)
+{
+    const auto snapshot = [](std::uint32_t count) {
+        CkptWriter w;
+        w.u32(count);
+        for (std::uint32_t i = 0; i < count; ++i) {
+            FlitRecord f;
+            f.packet = i + 1;
+            f.sizeFlits = 1;
+            writeFlitRecord(w, f);
+        }
+        return w;
+    };
+    const auto load = [](CkptReader &r) {
+        PacketTable table;
+        table.beginLoad(4);
+        StagedFifo<Flit> fifo(3);
+        loadFlitFifo(r, fifo, table);
+        EXPECT_EQ(fifo.size(), 3u);
+    };
+    CkptReader full(snapshot(3).data());
+    load(full);
+    EXPECT_TRUE(full.atEnd());
+    expectRefused(snapshot(4), load, "deeper than the restoring queue");
+}
+
+/** Rewrite the little-endian i32 at @a offset of @a bytes. */
+void
+putI32(std::vector<std::uint8_t> &bytes, std::size_t offset,
+       std::int32_t value)
+{
+    const auto v = static_cast<std::uint32_t>(value);
+    for (int i = 0; i < 4; ++i)
+        bytes[offset + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** A packet id no other field of a small network's state spells. */
+constexpr PacketId markedPacket = 0x0123456789ABCDEFull;
+
+/**
+ * Point every flit of markedPacket in the network snapshot @a bytes
+ * at @a dst. Flits are encoded as u64 packet id, u32 index, u32 size,
+ * then the i32 dst (see saveFlit). Returns the flits rewritten.
+ */
+int
+redirectMarkedFlits(std::vector<std::uint8_t> &bytes, std::int32_t dst)
+{
+    CkptWriter id;
+    id.u64(markedPacket);
+    int found = 0;
+    auto at = bytes.begin();
+    while ((at = std::search(at, bytes.end(), id.data().begin(),
+                             id.data().end())) != bytes.end()) {
+        putI32(bytes, static_cast<std::size_t>(at - bytes.begin()) + 16,
+               dst);
+        ++found;
+        ++at;
+    }
+    return found;
+}
+
+/** A two-flit write from PM 0 to PM 3, staged and committed. */
+Packet
+markedWrite()
+{
+    Packet pkt;
+    pkt.id = markedPacket;
+    pkt.type = PacketType::WriteRequest;
+    pkt.src = 0;
+    pkt.dst = 3;
+    pkt.sizeFlits = 2;
+    return pkt;
+}
+
+template <typename Net>
+void
+expectForeignDstRefused(const typename Net::Params &params)
+{
+    Net net(params);
+    ASSERT_TRUE(net.canInject(0, markedWrite()));
+    net.inject(0, markedWrite());
+    net.tick(0); // commit: a checkpoint is taken at a tick boundary
+    CkptWriter saved;
+    net.saveState(saved);
+
+    std::vector<std::uint8_t> bytes = saved.data();
+    ASSERT_EQ(redirectMarkedFlits(bytes, 3), 2); // unchanged
+    {
+        Net fresh(params);
+        CkptReader r(bytes);
+        fresh.loadState(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_EQ(fresh.flitsInFlight(), 2u);
+    }
+    ASSERT_EQ(redirectMarkedFlits(bytes, net.numProcessors()), 2);
+    CkptWriter hostile;
+    for (const std::uint8_t b : bytes)
+        hostile.u8(b);
+    expectRefused(
+        hostile,
+        [&params](CkptReader &r) {
+            Net fresh(params);
+            fresh.loadState(r);
+        },
+        "dst " + std::to_string(net.numProcessors()) +
+            " is not a PM of the restoring network");
+}
+
+TEST(CheckpointHostile, RingFlitWithForeignDstIsRefused)
+{
+    RingNetwork::Params params;
+    params.topo = RingTopology::parse("4");
+    expectForeignDstRefused<RingNetwork>(params);
+}
+
+TEST(CheckpointHostile, MeshFlitWithForeignDstIsRefused)
+{
+    expectForeignDstRefused<MeshNetwork>(MeshNetwork::Params{2, 32, 4});
+}
+
+TEST(CheckpointHostile, MeshPortStateIsRangeChecked)
+{
+    // An idle 2x2 mesh: router 0 sits at (0, 0), so its east and
+    // south links are wired and its west and north ones are not.
+    const MeshNetwork::Params params{2, 32, 4};
+    CkptWriter saved;
+    MeshNetwork(params).saveState(saved);
+
+    // Router 0's fields (MeshRouter::saveState): after the network's
+    // u32 satTicks come six empty FIFOs (a u32 count each), the u8
+    // localSrc, five i32 inputBound entries, then per output an i32
+    // owner, a u64 worm id and an i32 rrPtr, then the u8 boundMask
+    // and u8 ownedMask.
+    constexpr std::size_t localSrc = 4 + 6 * 4;
+    constexpr std::size_t inputBound = localSrc + 1;
+    constexpr std::size_t outputs = inputBound + 5 * 4;
+    const auto owner = [](std::size_t out) { return outputs + 16 * out; };
+    const auto rr = [](std::size_t out) {
+        return outputs + 16 * out + 12;
+    };
+    constexpr std::size_t boundMask = outputs + 5 * 16;
+    constexpr std::size_t ownedMask = boundMask + 1;
+    ASSERT_EQ(saved.data()[localSrc], 0);
+    for (std::size_t p = 0; p < NumMeshPorts; ++p) {
+        ASSERT_EQ(saved.data()[inputBound + 4 * p], 0xFF);
+        ASSERT_EQ(saved.data()[owner(p)], 0xFF);
+    }
+    ASSERT_EQ(saved.data()[boundMask], 0);
+    ASSERT_EQ(saved.data()[ownedMask], 0);
+
+    const auto load = [&params](CkptReader &r) {
+        MeshNetwork fresh(params);
+        fresh.loadState(r);
+    };
+    const auto refused =
+        [&](const std::function<void(std::vector<std::uint8_t> &)> &edit,
+            const std::string &field) {
+            std::vector<std::uint8_t> bytes = saved.data();
+            edit(bytes);
+            CkptWriter hostile;
+            for (const std::uint8_t b : bytes)
+                hostile.u8(b);
+            expectRefused(hostile, load, field);
+        };
+    // A worm from the east input (0) bound to the south output (2).
+    const auto bind_east_to = [&](std::vector<std::uint8_t> &b,
+                                  std::size_t out) {
+        putI32(b, inputBound + 0, static_cast<std::int32_t>(out));
+        putI32(b, owner(out), PortEast);
+        b[boundMask] = 1u << PortEast;
+        b[ownedMask] = static_cast<std::uint8_t>(1u << out);
+    };
+
+    refused([&](auto &b) { putI32(b, owner(0), 9); },
+            "output 0 owner 9 outside [-1, 4]");
+    refused([&](auto &b) { putI32(b, owner(4), -2); },
+            "output 4 owner -2 outside [-1, 4]");
+    refused([&](auto &b) { putI32(b, rr(2), -1); },
+            "output 2 rrPtr -1 outside [0, 4]");
+    refused([&](auto &b) { putI32(b, rr(1), NumMeshPorts); },
+            "output 1 rrPtr 5 outside [0, 4]");
+    refused([&](auto &b) { putI32(b, inputBound + 4 * 3, 5); },
+            "inputBound[3] 5 outside [-1, 4]");
+    refused([&](auto &b) { b[ownedMask] = 1u << 5; },
+            "ownedMask 32 disagrees");
+    refused([&](auto &b) { b[boundMask] = 1; }, "boundMask 1 disagrees");
+    refused([&](auto &b) { b[localSrc] = 1; }, "localSrc disagrees");
+    refused(
+        [&](auto &b) {
+            bind_east_to(b, 2);
+            putI32(b, inputBound + 0, -1);
+        },
+        "output 2 owner is input 0, whose inputBound disagrees");
+    refused(
+        [&](auto &b) {
+            bind_east_to(b, 2);
+            putI32(b, owner(2), -1);
+        },
+        "inputBound[0] names output 2, whose owner disagrees");
+    refused(
+        [&](auto &b) {
+            bind_east_to(b, 2);
+            b[ownedMask] = 1u << 3;
+        },
+        "ownedMask 8 disagrees");
+    refused([&](auto &b) { bind_east_to(b, 1); },
+            "owner binds unwired output 1");
+    refused(
+        [&](auto &b) {
+            putI32(b, inputBound + 4 * PortNorth, PortSouth);
+            putI32(b, owner(PortSouth), PortNorth);
+            b[boundMask] = 1u << PortNorth;
+            b[ownedMask] = 1u << PortSouth;
+        },
+        "output 2 owner is unwired input 3");
+    // A consistent binding gets past the port checks: the worm it
+    // names has no flit in flight, which bindLoadedWorms() refuses.
+    refused([&](auto &b) { bind_east_to(b, 2); }, "with no flit in flight");
 }
 
 // ---------------------------------------------------------------- //

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/staged_fifo.hh"
 
 namespace hrsim
@@ -152,10 +154,9 @@ TEST(StagedFifo, SetCapacityOnEmpty)
     EXPECT_FALSE(fifo.canPush());
 }
 
-/** Exercise one full capacity's worth of wrapped churn. */
-template <std::size_t InlineCap>
+/** Exercise four capacities' worth of wrapped churn. */
 void
-churn(StagedFifo<int, InlineCap> &fifo)
+churn(StagedFifo<int> &fifo)
 {
     const int depth = static_cast<int>(fifo.capacity());
     int pushed = 0;
@@ -173,47 +174,23 @@ churn(StagedFifo<int, InlineCap> &fifo)
         ASSERT_EQ(fifo.pop(), popped);
         ++popped;
     }
+    fifo.commit();
     EXPECT_EQ(pushed, popped);
 }
 
-TEST(StagedFifoInline, AtExactlyInlineCapUsesSmallBuffer)
+TEST(StagedFifo, ChurnWrapsAtEveryCapacity)
 {
-    // capacity == InlineCap is the last all-inline configuration; the
-    // wrap arithmetic must behave exactly like the heap variant.
-    StagedFifo<int, 4> fifo(4);
-    EXPECT_EQ(fifo.inlineCapacity, 4u);
-    churn(fifo);
-}
-
-TEST(StagedFifoInline, OnePastInlineCapFallsBackToHeap)
-{
-    // capacity == InlineCap + 1 is the first heap-backed depth: the
-    // boundary where data() switches storage.
-    StagedFifo<int, 4> fifo(5);
-    churn(fifo);
-}
-
-TEST(StagedFifoInline, SetCapacityCrossesTheBoundaryBothWays)
-{
-    StagedFifo<int, 2> fifo(2); // inline
-    fifo.push(1);
-    fifo.push(2);
-    fifo.commit();
-    EXPECT_EQ(fifo.pop(), 1);
-    EXPECT_EQ(fifo.pop(), 2);
-    fifo.commit();
-
-    fifo.setCapacity(3); // inline -> heap
-    churn(fifo);
-    fifo.setCapacity(2); // heap -> inline
-    churn(fifo);
-}
-
-TEST(StagedFifoInline, ZeroInlineCapIsAlwaysHeap)
-{
-    // The mesh router's configuration: no small buffer at all.
-    StagedFifo<int, 0> fifo(3);
-    churn(fifo);
+    // The wrap arithmetic at every depth the networks use, on fresh
+    // queues and on one queue re-sized (re-allocated) between runs.
+    StagedFifo<int> resized;
+    for (std::size_t depth = 1; depth <= 8; ++depth) {
+        SCOPED_TRACE("capacity " + std::to_string(depth));
+        StagedFifo<int> fresh(depth);
+        churn(fresh);
+        resized.setCapacity(depth);
+        churn(resized);
+        EXPECT_EQ(resized.capacity(), depth);
+    }
 }
 
 TEST(StagedFifoDeath, PushBeyondCapacityPanics)
