@@ -122,6 +122,17 @@ bitIdentityGrid()
     cfg.workload.missRateC = 0.01;
     add("ring 8 single-level low-C", cfg);
 
+    // Saturates the double-speed global ring and escapes blocked
+    // worms almost at once, so both IRI sides keep taking the wait,
+    // escape and clock-domain-crossing paths no fault-free line
+    // above reaches.
+    cfg = SystemConfig::ring("2:2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 8;
+    cfg.globalRingSpeed = 2;
+    cfg.ringIriWaitLimit = 1;
+    add("ring 2:2:4 speed-2 escapes", cfg);
+
     return grid;
 }
 
@@ -154,6 +165,18 @@ faultAndBufferGrid()
     cfg.faultPlan.retry.timeoutCycles = 400;
     cfg.faultPlan.retry.maxRetries = 3;
     grid.emplace_back("mesh 4 faulted", cfg);
+
+    // The IRI sides on the global ring: one stalls for a window, the
+    // other's output link goes down and drains a worm into the fault.
+    cfg = SystemConfig::ring("2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 4;
+    cfg.faultPlan.events = {
+        faultSpec("ring.l0.iri0.upper:stall@1000..1600"),
+        faultSpec("ring.l0.iri1.upper:down@900..1400")};
+    cfg.faultPlan.retry.timeoutCycles = 400;
+    cfg.faultPlan.retry.maxRetries = 3;
+    grid.emplace_back("ring 2:4 upper-side faulted", cfg);
 
     return grid;
 }
