@@ -14,7 +14,10 @@
  * goes up iff its destination lies outside the subtree; a packet on
  * the upper ring comes down iff its destination lies inside.
  * Switching happens independently on the two sides, and packets that
- * stay on their ring have priority over ring-changing ones.
+ * stay on their ring have priority over ring-changing ones. The two
+ * sides run the same rule, mirrored, so each is one IriHalf; the
+ * only asymmetry is which side of the subtree boundary "continue"
+ * means.
  *
  * A ring-changing worm is diverted into its up/down queue only when
  * the whole packet fits, so a diverting worm never stalls the ring
@@ -43,6 +46,179 @@
 namespace hrsim
 {
 
+/** Route chosen for the worm currently arriving on an IRI side. */
+enum class WormRoute : std::uint8_t
+{
+    Continue,   //!< stay on the current ring
+    ChangeRing, //!< divert into the up/down queue
+    Wait,       //!< queue full: hold the latch and retry
+};
+
+/**
+ * One side of an IRI: the ring attachment point on the lower or the
+ * upper ring, the two transfer queues it diverts ring-changing worms
+ * into, and the two it drains onto its ring (the other side's divert
+ * queues). The queues belong to the owning RingIri.
+ */
+class IriHalf
+{
+  public:
+    /**
+     * @param upper True for the side on the parent ring.
+     * @param divert_resp / @p divert_req Queues this side diverts
+     *        ring-changing responses / requests into.
+     * @param drain_resp / @p drain_req Queues this side's output
+     *        drains, after same-ring transit.
+     */
+    IriHalf(bool upper, NodeId subtree_lo, NodeId subtree_hi,
+            std::uint32_t cl_flits, std::uint32_t wait_limit,
+            PacketTable *packets, StagedFifo<Flit> &divert_resp,
+            StagedFifo<Flit> &divert_req, StagedFifo<Flit> &drain_resp,
+            StagedFifo<Flit> &drain_req);
+
+    IriHalf(const IriHalf &) = delete;
+    IriHalf &operator=(const IriHalf &) = delete;
+    IriHalf(IriHalf &&) = delete;
+    IriHalf &operator=(IriHalf &&) = delete;
+
+    /**
+     * Phase A: route the latch flit and publish the acceptance flag.
+     * The route is kept for evaluate() in the same cycle: the latch
+     * and the divert queue's producer space cannot change in between.
+     */
+    void computeAcceptance();
+
+    /** Phase B: divert, drive the ring output, absorb into transit. */
+    void evaluate();
+
+    /** Commit the latch and the transit buffer. */
+    void
+    commit()
+    {
+        side_.in.commit();
+        side_.transitBuf.commit();
+    }
+
+    RingSide &side() { return side_; }
+    const RingSide &side() const { return side_; }
+
+    /** Flits held in the latch and the transit buffer. */
+    std::uint64_t
+    flitCount() const
+    {
+        return side_.transitBuf.totalSize() + side_.in.cur.full +
+               side_.in.staged.full;
+    }
+
+    bool
+    empty() const
+    {
+        return !side_.in.cur && !side_.in.staged &&
+               side_.transitBuf.totalSize() == 0;
+    }
+
+    /** The sleeping rest state: accept, no escape lap armed. */
+    void
+    prepareSleep()
+    {
+        side_.accept = true;
+        escaped_ = 0;
+    }
+
+    /**
+     * Attach this side's fault state and the network's shared
+     * conservation ledger (null = the fault-free fast case).
+     */
+    void
+    setFaultState(RingSideFaults *faults, FaultAccounting *acct)
+    {
+        faults_ = faults;
+        side_.out.setFaultState(faults, acct);
+    }
+
+    bool stalled() const { return faults_ && faults_->stalled != 0; }
+
+    /**
+     * After every component's flits are re-interned: resolve the
+     * slots of the output's held worm and of the route memo (a memo
+     * whose packet has left the network gets noSlot, which no flit
+     * carries). A body flit in the latch follows its head's route,
+     * so the memo must name it.
+     */
+    void bindLoadedWorms();
+
+    std::uint64_t waitCycles() const { return waitCycles_; }
+    std::uint64_t escapes() const { return escapes_; }
+
+  private:
+    friend class RingIri;
+
+    /**
+     * Memo of the incoming worm's routing decision. Keyed by packet
+     * id for the checkpoint (the memo outlives its packet); body
+     * flits check it by slot.
+     */
+    struct RouteMemo
+    {
+        PacketId packet = 0;
+        std::uint32_t slot = 0;
+        bool valid = false;
+        WormRoute route = WormRoute::Continue;
+    };
+
+    /** Cycles a blocked head has been holding the latch. */
+    struct WaitState
+    {
+        PacketId packet = 0;
+        std::uint32_t cycles = 0;
+    };
+
+    bool
+    continues(NodeId dst) const
+    {
+        return (dst >= subtreeLo_ && dst < subtreeHi_) != upper_;
+    }
+
+    StagedFifo<Flit> &
+    divertQueue(PacketType type)
+    {
+        return isRequest(type) ? divertReq_ : divertResp_;
+    }
+
+    /**
+     * Route of the latch flit, deciding once per worm and advancing
+     * the wait counter: ring-changing packets divert when the whole
+     * packet fits in the queue, wait (holding the latch) while it
+     * does not, and recirculate once the wait limit is exceeded.
+     */
+    WormRoute route(const Flit &flit);
+
+    bool upper_;
+    NodeId subtreeLo_;
+    NodeId subtreeHi_;
+    std::uint32_t waitLimit_;
+    PacketTable *packets_;
+
+    /** Route computeAcceptance() chose for this cycle's latch flit. */
+    WormRoute latchRoute_ = WormRoute::Continue;
+    RouteMemo memo_;
+    WaitState wait_;
+    /** Head currently committed to an escape lap (0 = none). */
+    PacketId escaped_ = 0;
+    std::uint64_t waitCycles_ = 0;
+    std::uint64_t escapes_ = 0;
+
+    RingSide side_;
+    StagedFifo<Flit> &divertResp_;
+    StagedFifo<Flit> &divertReq_;
+    RingStreamSource ringSource_;
+    QueueSource drainResp_;
+    QueueSource drainReq_;
+
+    /** Null (the fast case) without a fault plan. */
+    const RingSideFaults *faults_ = nullptr;
+};
+
 class RingIri
 {
   public:
@@ -65,122 +241,52 @@ class RingIri
     RingIri(RingIri &&) = delete;
     RingIri &operator=(RingIri &&) = delete;
 
-    /** Phase A flags, one per side. */
-    void computeAcceptanceLower();
-    void computeAcceptanceUpper();
+    IriHalf &lower() { return lower_; }
+    IriHalf &upper() { return upper_; }
+    const IriHalf &lower() const { return lower_; }
+    const IriHalf &upper() const { return upper_; }
 
-    /** Phase B: switch the lower-ring side. */
-    void evaluateLower();
-
-    /** Phase B: switch the upper-ring side. */
-    void evaluateUpper();
-
-    /** Commit state owned by the lower (system-clock) domain. */
-    void commitLower();
-
-    /** Commit state owned by the upper ring's clock domain. */
-    void commitUpper();
+    /**
+     * Commit state owned by the upper ring's clock domain: the upper
+     * side and the four transfer queues, which are the clock-domain
+     * crossing when the global ring is double-clocked.
+     */
+    void
+    commitUpper()
+    {
+        upper_.commit();
+        upResp_.commit();
+        upReq_.commit();
+        downResp_.commit();
+        downReq_.commit();
+    }
 
     /** Non-head flits both outputs streamed. */
     std::uint64_t streamedFlits() const
     {
-        return lower_.out.streamedFlits() +
-               upper_.out.streamedFlits();
+        return lower_.side_.out.streamedFlits() +
+               upper_.side_.out.streamedFlits();
     }
 
     /**
      * Checkpoint hooks (tick boundary): both sides, the four transfer
      * queues, and the per-side routing memos / wait / escape state —
      * a worm mid-divert or mid-escape must resume its decision, not
-     * re-route.
+     * re-route. The wait and escape counters are saved as the IRI's
+     * totals (its only metrics), and a load credits them to the
+     * lower side.
      */
-    void
-    saveState(CkptWriter &w) const
-    {
-        const auto save_memo = [&w](const RouteMemo &memo) {
-            w.u64(memo.packet);
-            w.boolean(memo.valid);
-            w.u8(static_cast<std::uint8_t>(memo.route));
-        };
-        const auto save_wait = [&w](const WaitState &wait) {
-            w.u64(wait.packet);
-            w.u32(wait.cycles);
-        };
-        save_memo(lowerMemo_);
-        save_memo(upperMemo_);
-        save_wait(lowerWait_);
-        save_wait(upperWait_);
-        w.u64(lowerEscaped_);
-        w.u64(upperEscaped_);
-        w.u64(waitCycles_);
-        w.u64(escapes_);
-        lower_.saveState(w, *packets_);
-        upper_.saveState(w, *packets_);
-        saveFlitFifo(w, upResp_, *packets_);
-        saveFlitFifo(w, upReq_, *packets_);
-        saveFlitFifo(w, downResp_, *packets_);
-        saveFlitFifo(w, downReq_, *packets_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        const auto load_memo = [&r](RouteMemo &memo) {
-            memo.packet = r.u64();
-            memo.valid = r.boolean();
-            memo.route = r.enumerant("IRI worm route", WormRoute::Wait);
-        };
-        const auto load_wait = [&r](WaitState &wait) {
-            wait.packet = r.u64();
-            wait.cycles = r.u32();
-        };
-        load_memo(lowerMemo_);
-        load_memo(upperMemo_);
-        load_wait(lowerWait_);
-        load_wait(upperWait_);
-        lowerEscaped_ = r.u64();
-        upperEscaped_ = r.u64();
-        waitCycles_ = r.u64();
-        escapes_ = r.u64();
-        lower_.loadState(r, *packets_);
-        upper_.loadState(r, *packets_);
-        loadFlitFifo(r, upResp_, *packets_);
-        loadFlitFifo(r, upReq_, *packets_);
-        loadFlitFifo(r, downResp_, *packets_);
-        loadFlitFifo(r, downReq_, *packets_);
-    }
-
-    /**
-     * After every component's flits are re-interned: resolve the
-     * slots of the worms named by packet id (both outputs' held
-     * worms and the route memos; a memo whose packet has left the
-     * network gets noSlot, which no flit carries).
-     */
-    void
-    bindLoadedWorms()
-    {
-        lower_.out.bindLoadedWorm();
-        upper_.out.bindLoadedWorm();
-        lowerMemo_.slot = packets_->slotOf(lowerMemo_.packet);
-        upperMemo_.slot = packets_->slotOf(upperMemo_.packet);
-    }
-
-    RingSide &lower() { return lower_; }
-    RingSide &upper() { return upper_; }
-    const RingSide &lower() const { return lower_; }
-    const RingSide &upper() const { return upper_; }
-
-    bool
-    inSubtree(NodeId pm) const
-    {
-        return pm >= subtreeLo_ && pm < subtreeHi_;
-    }
-
-    NodeId subtreeLo() const { return subtreeLo_; }
-    NodeId subtreeHi() const { return subtreeHi_; }
+    void saveState(CkptWriter &w) const;
+    void loadState(CkptReader &r);
 
     /** Flits currently buffered in this IRI. */
-    std::uint64_t flitCount() const;
+    std::uint64_t
+    flitCount() const
+    {
+        return lower_.flitCount() + upper_.flitCount() +
+               upResp_.totalSize() + upReq_.totalSize() +
+               downResp_.totalSize() + downReq_.totalSize();
+    }
 
     /**
      * flitCount() == 0, but short-circuiting: the end-of-tick sleep
@@ -190,10 +296,7 @@ class RingIri
     bool
     empty() const
     {
-        return !lower_.in().cur && !lower_.in().staged &&
-               !upper_.in().cur && !upper_.in().staged &&
-               lower_.transitBuf.totalSize() == 0 &&
-               upper_.transitBuf.totalSize() == 0 &&
+        return lower_.empty() && upper_.empty() &&
                upResp_.totalSize() == 0 && upReq_.totalSize() == 0 &&
                downResp_.totalSize() == 0 && downReq_.totalSize() == 0;
     }
@@ -208,25 +311,8 @@ class RingIri
     void
     prepareSleep()
     {
-        lower_.accept() = true;
-        upper_.accept() = true;
-        lowerEscaped_ = 0;
-        upperEscaped_ = 0;
-    }
-
-    /**
-     * Attach per-side fault state and the network's shared
-     * conservation ledger (all owned by the network; null = the
-     * fault-free fast case). Also wires both ring outputs.
-     */
-    void
-    setFaultState(RingSideFaults *lower, RingSideFaults *upper,
-                  FaultAccounting *acct)
-    {
-        lowerFaults_ = lower;
-        upperFaults_ = upper;
-        lower_.out.setFaultState(lower, acct);
-        upper_.out.setFaultState(upper, acct);
+        lower_.prepareSleep();
+        upper_.prepareSleep();
     }
 
     /**
@@ -236,102 +322,35 @@ class RingIri
      * what a stall advertises) and the network never fast-forwards
      * across the stall window.
      */
-    bool
-    faultPinned() const
-    {
-        return (lowerFaults_ && lowerFaults_->stalled) ||
-               (upperFaults_ && upperFaults_->stalled);
-    }
+    bool faultPinned() const { return lower_.stalled() || upper_.stalled(); }
 
     /** One-line buffer state (stall diagnostics). */
     void debugDump(std::ostream &out) const;
 
     /** Cumulative cycles worms spent blocked on full queues. */
-    std::uint64_t waitCycles() const { return waitCycles_; }
+    std::uint64_t
+    waitCycles() const
+    {
+        return lower_.waitCycles() + upper_.waitCycles();
+    }
 
     /** Recirculation-escape laps taken. */
-    std::uint64_t escapes() const { return escapes_; }
-
-    /** Route chosen for the worm currently arriving on a side. */
-    enum class WormRoute : std::uint8_t
+    std::uint64_t
+    escapes() const
     {
-        Continue,   //!< stay on the current ring
-        ChangeRing, //!< divert into the up/down queue
-        Wait,       //!< queue full: hold the latch and retry
-    };
+        return lower_.escapes() + upper_.escapes();
+    }
 
   private:
-    StagedFifo<Flit> &upQueue(PacketType type);
-    StagedFifo<Flit> &downQueue(PacketType type);
-
-    /**
-     * Per-side memo of the incoming worm's routing decision. Keyed by
-     * packet id for the checkpoint (the memo outlives its packet);
-     * body flits check it by slot.
-     */
-    struct RouteMemo
-    {
-        PacketId packet = 0;
-        std::uint32_t slot = 0;
-        bool valid = false;
-        WormRoute route = WormRoute::Continue;
-    };
-
-    /** Cycles a blocked head has been holding a latch. */
-    struct WaitState
-    {
-        PacketId packet = 0;
-        std::uint32_t cycles = 0;
-    };
-
-    /**
-     * Route of the latch flit on the lower side, deciding once per
-     * worm: ring-changing packets divert when the whole packet fits
-     * in the queue, wait (holding the latch) while it does not, and
-     * recirculate once the wait limit is exceeded.
-     *
-     * @param count_wait Advance the wait counter (set only by the
-     *        once-per-cycle acceptance computation).
-     */
-    WormRoute routeLower(const Flit &flit, bool count_wait = false);
-
-    /** Same for the upper side. */
-    WormRoute routeUpper(const Flit &flit, bool count_wait = false);
-
-    NodeId subtreeLo_;
-    NodeId subtreeHi_;
-    std::uint32_t waitLimit_;
-    PacketTable *packets_;
-
-    RouteMemo lowerMemo_;
-    RouteMemo upperMemo_;
-    WaitState lowerWait_;
-    WaitState upperWait_;
-    /** Head currently committed to an escape lap (0 = none). */
-    PacketId lowerEscaped_ = 0;
-    PacketId upperEscaped_ = 0;
-
-    std::uint64_t waitCycles_ = 0;
-    std::uint64_t escapes_ = 0;
-
-    RingSide lower_;
-    RingSide upper_;
-
+    // Declared before the halves, which hold references to them.
     StagedFifo<Flit> upResp_;
     StagedFifo<Flit> upReq_;
     StagedFifo<Flit> downResp_;
     StagedFifo<Flit> downReq_;
 
-    /** Per-side fault state; null (the fast case) without a plan. */
-    const RingSideFaults *lowerFaults_ = nullptr;
-    const RingSideFaults *upperFaults_ = nullptr;
-
-    RingStreamSource lowerRingSource_;
-    RingStreamSource upperRingSource_;
-    QueueSource upRespSource_;
-    QueueSource upReqSource_;
-    QueueSource downRespSource_;
-    QueueSource downReqSource_;
+    IriHalf lower_;
+    IriHalf upper_;
+    PacketTable *packets_;
 };
 
 } // namespace hrsim

@@ -44,19 +44,6 @@ RingNetwork::RingNetwork(const Params &params)
             iriFastUpper_[i] = 1;
     }
 
-    // Bind every side's latch + acceptance flag to its hot-column
-    // slot (layout matches sideFaults_) before the wiring below aims
-    // the upstream outputs at them.
-    const std::size_t pms = nics_.size();
-    hotCol_.resize(pms + 2 * iris_.size());
-    for (std::size_t pm = 0; pm < pms; ++pm)
-        nics_[pm].side().bindColumns(&hotCol_[pm].in,
-                                     &hotCol_[pm].accept);
-    for (std::size_t i = 0; i < iris_.size(); ++i) {
-        RingHot *base = &hotCol_[pms + 2 * i];
-        iris_[i].lower().bindColumns(&base[0].in, &base[0].accept);
-        iris_[i].upper().bindColumns(&base[1].in, &base[1].accept);
-    }
     nicMask_.reset(nics_.size());
     iriMask_.reset(iris_.size());
 
@@ -131,7 +118,7 @@ RingNetwork::RingNetwork(const Params &params)
             else if (ring.slots[i].kind == RingSlotDesc::Kind::IriUpper)
                 trace_node = -(2 * ring.slots[i].index + 2);
             from.occupancy = &occupancy_[r];
-            from.out.connect(&to.in(), &to.accept(), &util_, link,
+            from.out.connect(&to.in, &to.accept, &util_, link,
                              &occupancy_[r], ring.subtreeLo,
                              ring.subtreeHi, starvation_limit,
                              &tracer_, trace_node, wake_mask, wake_id,
@@ -174,9 +161,9 @@ RingNetwork::sideAt(const RingSlotDesc &slot)
       case RingSlotDesc::Kind::Nic:
         return nics_[static_cast<std::size_t>(slot.index)].side();
       case RingSlotDesc::Kind::IriLower:
-        return iris_[static_cast<std::size_t>(slot.index)].lower();
+        return iris_[static_cast<std::size_t>(slot.index)].lower().side();
       case RingSlotDesc::Kind::IriUpper:
-        return iris_[static_cast<std::size_t>(slot.index)].upper();
+        return iris_[static_cast<std::size_t>(slot.index)].upper().side();
     }
     HRSIM_PANIC("unknown ring slot kind");
 }
@@ -232,11 +219,11 @@ RingNetwork::tick(Cycle now)
     // computes. IRI acceptance advances the blocked-worm wait
     // counters, so it must keep running here, once per cycle.
     iriMask_.forEach([this](std::uint32_t id) {
-        iris_[id].computeAcceptanceLower();
+        iris_[id].lower().computeAcceptance();
     });
     iriMask_.forEach([this](std::uint32_t id) {
         if (!iriFastUpper_[id])
-            iris_[id].computeAcceptanceUpper();
+            iris_[id].upper().computeAcceptance();
     });
 
     // Phase B: system-clock domain. Transmits wake downstream
@@ -244,10 +231,10 @@ RingNetwork::tick(Cycle now)
     nicMask_.forEach(
         [this, now](std::uint32_t id) { nics_[id].evaluate(now); });
     iriMask_.forEach(
-        [this](std::uint32_t id) { iris_[id].evaluateLower(); });
+        [this](std::uint32_t id) { iris_[id].lower().evaluate(); });
     iriMask_.forEach([this](std::uint32_t id) {
         if (!iriFastUpper_[id])
-            iris_[id].evaluateUpper();
+            iris_[id].upper().evaluate();
     });
 
     // NIC commit + sleep sweep, fused into one pass (covering
@@ -272,7 +259,7 @@ RingNetwork::tick(Cycle now)
     // component each, so their order is immaterial). Their sleep
     // sweep must wait for the fast domain below.
     iriMask_.forEach([this](std::uint32_t id) {
-        iris_[id].commitLower();
+        iris_[id].lower().commit();
         if (!iriFastUpper_[id])
             iris_[id].commitUpper();
     });
@@ -284,11 +271,11 @@ RingNetwork::tick(Cycle now)
              ++sub) {
             iriMask_.forEach([this](std::uint32_t id) {
                 if (iriFastUpper_[id])
-                    iris_[id].computeAcceptanceUpper();
+                    iris_[id].upper().computeAcceptance();
             });
             iriMask_.forEach([this](std::uint32_t id) {
                 if (iriFastUpper_[id])
-                    iris_[id].evaluateUpper();
+                    iris_[id].upper().evaluate();
             });
             iriMask_.forEach([this](std::uint32_t id) {
                 if (iriFastUpper_[id])
@@ -450,8 +437,10 @@ RingNetwork::loadState(CkptReader &r)
         iri.loadState(r);
     for (RingNic &nic : nics_)
         nic.side().out.bindLoadedWorm();
-    for (RingIri &iri : iris_)
-        iri.bindLoadedWorms();
+    for (RingIri &iri : iris_) {
+        iri.lower().bindLoadedWorms();
+        iri.upper().bindLoadedWorms();
+    }
     packets_.endLoad();
     const bool has_faults = r.boolean();
     if (has_faults != !sideFaults_.empty()) {
@@ -550,9 +539,10 @@ RingNetwork::setFaultAccounting(FaultAccounting *acct)
     }
     for (std::size_t i = 0; i < iris_.size(); ++i) {
         const std::size_t base = nics_.size() + 2 * i;
-        iris_[i].setFaultState(acct ? &sideFaults_[base] : nullptr,
-                               acct ? &sideFaults_[base + 1] : nullptr,
-                               acct);
+        iris_[i].lower().setFaultState(
+            acct ? &sideFaults_[base] : nullptr, acct);
+        iris_[i].upper().setFaultState(
+            acct ? &sideFaults_[base + 1] : nullptr, acct);
     }
 }
 

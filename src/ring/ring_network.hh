@@ -144,17 +144,6 @@ class RingNetwork : public Network
     UtilizationTracker util_;
     std::vector<UtilizationTracker::GroupId> levelGroups_;
 
-    // The hot column holds every ring attachment point's input latch
-    // + acceptance flag in one contiguous array — the whole
-    // inter-node communication fabric of the network — indexed like
-    // sideFaults_: NIC pm at [pm], IRI i's lower/upper sides at
-    // [P + 2i] / [P + 2i + 1].
-    struct RingHot
-    {
-        RingLatch in;
-        bool accept = false;
-    };
-    std::vector<RingHot> hotCol_;
     /** Awake NICs / IRIs (see sim/columns.hh). */
     ActiveMask nicMask_;
     ActiveMask iriMask_;

@@ -24,14 +24,13 @@ RingNic::computeAcceptance()
     // A stalled NIC is frozen: it cannot dispose of a latch flit, so
     // it must not advertise acceptance.
     if (faults_ && faults_->stalled != 0) {
-        side_.accept() = false;
+        side_.accept = false;
         return;
     }
     // Upstream may transmit iff the latch is free, or its occupant is
     // guaranteed disposable this cycle: it sinks into the PM (input
     // queues always drain in our model) or the ring buffer has room.
-    side_.accept() = !side_.in().cur ||
-                   !isTransit(*side_.in().cur) ||
+    side_.accept = !side_.in.cur || !isTransit(*side_.in.cur) ||
                    side_.transitBuf.canPush();
 }
 
@@ -46,14 +45,14 @@ RingNic::evaluate(Cycle now)
     // queue means there is nothing to sink, forward or inject. (A
     // worm holding the output link but starved of flits also does no
     // work, and staged arrivals only become visible at commit.)
-    if (!side_.in().cur && side_.transitBuf.empty() &&
+    if (!side_.in.cur && side_.transitBuf.empty() &&
         outResp_.empty() && outReq_.empty()) {
         return;
     }
     // 1. Sink a latch flit destined for this PM.
-    if (side_.in().cur && !isTransit(*side_.in().cur)) {
-        const Flit flit = *side_.in().cur;
-        side_.in().cur.reset();
+    if (side_.in.cur && !isTransit(*side_.in.cur)) {
+        const Flit flit = *side_.in.cur;
+        side_.in.cur.reset();
         // The flit leaves the ring; 1 + ttl because a kill token
         // carries the occupancy debt of its worm's dead flits (ttl
         // is always 0 in fault-free runs — see RingSideFaults).
@@ -79,16 +78,16 @@ RingNic::evaluate(Cycle now)
 
     // 2. Drive the output link: ring transit first, then responses,
     //    then requests.
-    ringSource_.setLatchIsTransit(side_.in().cur.has_value() &&
-                                  isTransit(*side_.in().cur));
+    ringSource_.setLatchIsTransit(side_.in.cur.has_value() &&
+                                  isTransit(*side_.in.cur));
     side_.out.transmit(&ringSource_, &respSource_, &reqSource_);
 
     // 3. Absorb a still-latched transit flit into the ring buffer so
     //    the latch honours the acceptance we advertised.
-    if (side_.in().cur && isTransit(*side_.in().cur) &&
+    if (side_.in.cur && isTransit(*side_.in.cur) &&
         side_.transitBuf.canPush()) {
-        side_.transitBuf.push(*side_.in().cur);
-        side_.in().cur.reset();
+        side_.transitBuf.push(*side_.in.cur);
+        side_.in.cur.reset();
     }
 }
 
@@ -113,7 +112,7 @@ RingNic::inject(const Packet &pkt)
 void
 RingNic::commit()
 {
-    side_.in().commit();
+    side_.in.commit();
     side_.transitBuf.commit();
     outResp_.commit();
     outReq_.commit();
@@ -124,9 +123,9 @@ RingNic::flitCount() const
 {
     std::uint64_t count = side_.transitBuf.totalSize() +
                           outResp_.totalSize() + outReq_.totalSize();
-    if (side_.in().cur)
+    if (side_.in.cur)
         ++count;
-    if (side_.in().staged)
+    if (side_.in.staged)
         ++count;
     return count;
 }
@@ -140,10 +139,10 @@ void
 RingNic::debugDump(std::ostream &out) const
 {
     out << "NIC pm=" << pm_ << " latch=";
-    if (side_.in().cur) {
-        out << packets_->id(side_.in().cur->slot) << ":"
-            << side_.in().cur->index
-            << "->" << side_.in().cur->dst;
+    if (side_.in.cur) {
+        out << packets_->id(side_.in.cur->slot) << ":"
+            << side_.in.cur->index
+            << "->" << side_.in.cur->dst;
     } else {
         out << "-";
     }
@@ -153,7 +152,7 @@ RingNic::debugDump(std::ostream &out) const
         << " worm=" << (side_.out.inWorm() ? 1 : 0);
     if (side_.out.inWorm())
         out << " wormPkt=" << side_.out.wormPacket();
-    out << " accept=" << side_.accept() << "\n";
+    out << " accept=" << side_.accept << "\n";
 }
 
 } // namespace hrsim

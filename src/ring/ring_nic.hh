@@ -109,7 +109,7 @@ class RingNic
     bool
     empty() const
     {
-        return !side_.in().cur && !side_.in().staged &&
+        return !side_.in.cur && !side_.in.staged &&
                side_.transitBuf.totalSize() == 0 &&
                outResp_.totalSize() == 0 && outReq_.totalSize() == 0;
     }
@@ -125,7 +125,7 @@ class RingNic
     prepareSleep()
     {
         // An empty latch always computes accept = true.
-        side_.accept() = true;
+        side_.accept = true;
     }
 
     /**

@@ -263,8 +263,8 @@ class RingOutput
   public:
     /**
      * Wire to the downstream neighbor (done once at build time).
-     * @a latch / @a accept_flag are the downstream side's slot in the
-     * network's hot column. @a tracer_slot points at the owning
+     * @a latch / @a accept_flag are the downstream side's input
+     * latch and acceptance flag. @a tracer_slot points at the owning
      * network's tracer pointer and @a trace_node names this link's
      * driver in trace events: the PM id for NIC outputs,
      * -(2*iri+1) / -(2*iri+2) for IRI lower/upper sides.
@@ -701,38 +701,21 @@ class RingOutput
 /**
  * One attachment point of a node on a ring.
  *
- * The input latch and phase-A acceptance flag are the side's *hot*
- * state: the upstream neighbor's output writes/reads them every
- * cycle. Both live in a network-owned column (RingNetwork's hotCol_,
- * bound once at construction), so the inter-node communication
- * fabric of a whole network is one contiguous array.
+ * The input latch and phase-A acceptance flag are written and read
+ * by the upstream neighbor's output every cycle; that output holds
+ * pointers to both (RingOutput::connect), so a side must not move
+ * once wired (the networks keep their components in StablePools).
  */
 struct RingSide
 {
+    /** Input latch from the upstream ring neighbor. */
+    RingLatch in;
+    /** Phase-A acceptance flag published for the upstream output. */
+    bool accept = false;
     StagedFifo<Flit> transitBuf;
     RingOutput out;
     /** Occupancy of the ring this side sits on (shared). */
     RingOccupancy *occupancy = nullptr;
-
-    /** Input latch from the upstream ring neighbor. */
-    RingLatch &in() { return *in_; }
-    const RingLatch &in() const { return *in_; }
-
-    /** Phase-A acceptance flag published for the upstream output. */
-    bool &accept() { return *accept_; }
-    bool accept() const { return *accept_; }
-
-    /**
-     * Bind the hot pair to @a latch / @a accept_flag (a network
-     * column slot). Called once at construction, before the upstream
-     * RingOutput is connect()ed to the same slot.
-     */
-    void
-    bindColumns(RingLatch *latch, bool *accept_flag)
-    {
-        in_ = latch;
-        accept_ = accept_flag;
-    }
 
     /**
      * Checkpoint the side's flit contents and output worm state.
@@ -743,8 +726,8 @@ struct RingSide
     void
     saveState(CkptWriter &w, const PacketTable &table) const
     {
-        HRSIM_ASSERT(!in().staged.full);
-        saveFlitSlot(w, in().cur, table);
+        HRSIM_ASSERT(!in.staged.full);
+        saveFlitSlot(w, in.cur, table);
         saveFlitFifo(w, transitBuf, table);
         out.saveState(w);
     }
@@ -752,15 +735,11 @@ struct RingSide
     void
     loadState(CkptReader &r, PacketTable &table)
     {
-        loadFlitSlot(r, in().cur, table);
-        in().staged.reset();
+        loadFlitSlot(r, in.cur, table);
+        in.staged.reset();
         loadFlitFifo(r, transitBuf, table);
         out.loadState(r);
     }
-
-  private:
-    RingLatch *in_ = nullptr;
-    bool *accept_ = nullptr;
 };
 
 /**
@@ -785,8 +764,8 @@ class RingStreamSource
     {
         if (!side_.transitBuf.empty())
             return &side_.transitBuf.front();
-        if (bypass_ && latchIsTransit_ && side_.in().cur)
-            return &*side_.in().cur;
+        if (bypass_ && latchIsTransit_ && side_.in.cur)
+            return &*side_.in.cur;
         return nullptr;
     }
 
@@ -796,9 +775,9 @@ class RingStreamSource
     {
         if (!side_.transitBuf.empty())
             return side_.transitBuf.pop();
-        HRSIM_ASSERT(bypass_ && latchIsTransit_ && side_.in().cur);
-        Flit flit = *side_.in().cur;
-        side_.in().cur.reset();
+        HRSIM_ASSERT(bypass_ && latchIsTransit_ && side_.in.cur);
+        Flit flit = *side_.in.cur;
+        side_.in.cur.reset();
         latchIsTransit_ = false;
         return flit;
     }

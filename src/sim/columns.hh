@@ -3,14 +3,11 @@
  * Tick-engine scheduling primitives: the two-level bitmap active mask
  * and the mesh routers' hot flag pair.
  *
- * Each network holds some hot per-cycle state in flat
- * struct-of-arrays columns — ring input latches and acceptance flags
- * (ring_node.hh points RingSide at them) and the mesh routers'
- * changed/poked flags — so the sleep sweeps and the cross-node
- * handshakes read contiguous arrays instead of node objects. Node
- * classes keep the rest of their state, their FIFOs included, and
- * reach the columns through handles bound once at network
- * construction.
+ * The mesh holds its routers' changed/poked flags in one flat
+ * network-owned column, so its sleep sweep reads a contiguous array
+ * instead of router objects; routers reach it through a handle bound
+ * once at network construction. Ring sides keep their latches and
+ * acceptance flags in the side itself (ring_node.hh).
  */
 
 #ifndef HRSIM_SIM_COLUMNS_HH

@@ -1,6 +1,7 @@
 #include "workload/processor.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "ckpt/state_io.hh"
 #include "common/log.hh"
@@ -257,11 +258,32 @@ Processor::saveState(CkptWriter &w) const
 void
 Processor::loadState(CkptReader &r)
 {
+    // Targets feed makeRequest and the network's routing tables, so
+    // each must name a PM of the restoring system.
+    const int num_pms = network_.numProcessors();
+    const auto check_target = [num_pms](NodeId target,
+                                        const char *what) {
+        if (target < 0 || target >= num_pms) {
+            throw CheckpointError(
+                std::string("checkpoint: processor ") + what +
+                " target " + std::to_string(target) + " outside [0, " +
+                std::to_string(num_pms - 1) + "]");
+        }
+    };
     loadRng(r, rng_);
     outstanding_ = r.i32();
+    if (outstanding_ < 0 || outstanding_ > cfg_.outstandingT) {
+        throw CheckpointError(
+            "checkpoint: processor outstanding " +
+            std::to_string(outstanding_) + " outside [0, " +
+            std::to_string(cfg_.outstandingT) + "]");
+    }
     stalled_ = r.boolean();
     stalledMiss_.target = r.i32();
     stalledMiss_.isRead = r.boolean();
+    // An unstalled generator keeps the default invalidNode target.
+    if (stalled_)
+        check_target(stalledMiss_.target, "stalled miss");
     lastTick_ = r.u64();
     nextMissAt_ = r.u64();
     localDue_.clear();
@@ -277,6 +299,7 @@ Processor::loadState(CkptReader &r)
     for (std::uint32_t i = 0; i < txn_count; ++i) {
         RemoteTxn txn;
         txn.target = r.i32();
+        check_target(txn.target, "remote transaction");
         txn.isRead = r.boolean();
         txn.retries = r.u32();
         txn.issueCycle = r.u64();

@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +35,10 @@
 #include "fault/fault_plan.hh"
 #include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
+#include "proto/packet_factory.hh"
 #include "ring/ring_network.hh"
+#include "stats/batch_means.hh"
+#include "workload/processor.hh"
 
 #include <filesystem>
 #include <fstream>
@@ -815,6 +820,64 @@ TEST(CheckpointHostile, RingFlitWithForeignDstIsRefused)
     expectForeignDstRefused<RingNetwork>(params);
 }
 
+TEST(CheckpointHostile, IriBodyFlitWithoutItsRouteMemoIsRefused)
+{
+    // A 5-flit write climbing out of the first sub-ring: six ticks
+    // in, its head has been diverted into IRI 0's up queue and a body
+    // flit sits in the IRI's lower latch, following the head's route.
+    RingNetwork::Params params;
+    params.topo = RingTopology::parse("2:4");
+    params.cacheLineBytes = 64;
+    RingNetwork net(params);
+    Packet pkt = markedWrite();
+    pkt.dst = 5;
+    pkt.sizeFlits = 5;
+    ASSERT_TRUE(net.canInject(0, pkt));
+    net.inject(0, pkt);
+    for (Cycle now = 0; now < 6; ++now)
+        net.tick(now);
+    std::ostringstream dump;
+    net.debugDump(dump);
+    const std::string latch =
+        "lo[latch=" + std::to_string(markedPacket) + ":";
+    const std::size_t at = dump.str().find(latch);
+    ASSERT_NE(at, std::string::npos) << dump.str();
+    EXPECT_NE(dump.str()[at + latch.size()], '0') << dump.str();
+
+    CkptWriter saved;
+    net.saveState(saved);
+    // The lower memo opens IRI 0's record: the u64 packet id, then
+    // the valid byte and the route (ChangeRing).
+    CkptWriter memo;
+    memo.u64(markedPacket);
+    memo.boolean(true);
+    memo.u8(static_cast<std::uint8_t>(WormRoute::ChangeRing));
+    std::vector<std::uint8_t> bytes = saved.data();
+    const auto found = std::search(bytes.begin(), bytes.end(),
+                                   memo.data().begin(), memo.data().end());
+    ASSERT_NE(found, bytes.end());
+    ASSERT_EQ(std::search(found + 1, bytes.end(), memo.data().begin(),
+                          memo.data().end()),
+              bytes.end());
+    {
+        RingNetwork fresh(params);
+        CkptReader r(bytes);
+        fresh.loadState(r);
+        EXPECT_TRUE(r.atEnd());
+    }
+    found[8] = 0; // clear the memo's valid byte
+    CkptWriter hostile;
+    for (const std::uint8_t b : bytes)
+        hostile.u8(b);
+    expectRefused(
+        hostile,
+        [&params](CkptReader &r) {
+            RingNetwork fresh(params);
+            fresh.loadState(r);
+        },
+        "IRI lower route memo does not name the body flit");
+}
+
 TEST(CheckpointHostile, MeshFlitWithForeignDstIsRefused)
 {
     expectForeignDstRefused<MeshNetwork>(MeshNetwork::Params{2, 32, 4});
@@ -918,6 +981,77 @@ TEST(CheckpointHostile, MeshPortStateIsRangeChecked)
     // A consistent binding gets past the port checks: the worm it
     // names has no flit in flight, which bindLoadedWorms() refuses.
     refused([&](auto &b) { bind_east_to(b, 2); }, "with no flit in flight");
+}
+
+TEST(CheckpointHostile, ProcessorTargetsAreRangeChecked)
+{
+    // PM 0 of a 4-PM ring, T = 1, a miss every cycle and the network
+    // never ticked: the first miss goes out as a remote transaction,
+    // the second stalls on the outstanding limit.
+    RingNetwork::Params params;
+    params.topo = RingTopology::parse("4");
+    RingNetwork net(params);
+    PacketFactory factory(ChannelSpec::ring(), 32);
+    BatchMeans latency(0, 1000, 4);
+    WorkloadCounters counters;
+    WorkloadConfig cfg;
+    cfg.missRateC = 1.0;
+    cfg.outstandingT = 1;
+    RetryPolicy policy;
+    RetryCounters retry_counters;
+    const auto make = [&]() {
+        auto proc = std::make_unique<Processor>(
+            0, std::vector<NodeId>{0, 1, 2, 3}, cfg, factory, net,
+            latency, counters, 5);
+        proc->setRetryPolicy(&policy, &retry_counters);
+        return proc;
+    };
+
+    CkptWriter idle;
+    make()->saveState(idle); // unstalled: target is invalidNode
+    CkptReader idle_reader(idle.data());
+    make()->loadState(idle_reader);
+    EXPECT_TRUE(idle_reader.atEnd());
+
+    auto proc = make();
+    proc->tick(0);
+    proc->tick(1);
+    ASSERT_TRUE(proc->blocked());
+    ASSERT_EQ(proc->pendingRetries(), 1u);
+    CkptWriter saved;
+    proc->saveState(saved);
+
+    // Processor::saveState: the RNG, i32 outstanding, the stalled
+    // flag, the stalled miss's i32 target, ...; the one remote
+    // transaction (i32 target, isRead, u32 retries, u64 issue and
+    // deadline, one u64 id behind a u32 count) closes the record.
+    CkptWriter rng;
+    saveRng(rng, Rng(0, 0));
+    const std::size_t outstanding = rng.data().size();
+    const std::size_t stalled_target = outstanding + 4 + 1;
+    const std::size_t txn_target = saved.data().size() - 37;
+    const auto load = [&make](CkptReader &r) { make()->loadState(r); };
+    const auto refused = [&](std::size_t offset, std::int32_t value,
+                             const std::string &field) {
+        std::vector<std::uint8_t> bytes = saved.data();
+        putI32(bytes, offset, value);
+        CkptWriter hostile;
+        for (const std::uint8_t b : bytes)
+            hostile.u8(b);
+        expectRefused(hostile, load, field);
+    };
+    refused(outstanding, -1, "outstanding -1 outside [0, 1]");
+    refused(outstanding, 2, "outstanding 2 outside [0, 1]");
+    refused(stalled_target, 4, "stalled miss target 4 outside [0, 3]");
+    refused(stalled_target, invalidNode,
+            "stalled miss target -1 outside [0, 3]");
+    refused(txn_target, 4, "remote transaction target 4 outside [0, 3]");
+    refused(txn_target, -7,
+            "remote transaction target -7 outside [0, 3]");
+
+    CkptReader r(saved.data());
+    make()->loadState(r);
+    EXPECT_TRUE(r.atEnd());
 }
 
 // ---------------------------------------------------------------- //
