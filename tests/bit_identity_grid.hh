@@ -133,6 +133,16 @@ bitIdentityGrid()
     cfg.ringIriWaitLimit = 1;
     add("ring 2:2:4 speed-2 escapes", cfg);
 
+    // Saturates a slotted hierarchy whose global ring is
+    // double-clocked, so both IRI halves keep retrying cells (full
+    // transfer queues) and the up/down queues cross clock domains.
+    cfg = SystemConfig::ring("2:2:4", 32);
+    cfg.ringSlotted = true;
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 4;
+    cfg.globalRingSpeed = 2;
+    add("slotted 2:2:4 speed-2 saturating", cfg);
+
     return grid;
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "mesh/mesh_network.hh"
+#include "obs/manifest.hh"
 #include "proto/packet_factory.hh"
 #include "ring/ring_network.hh"
 #include "ring/slotted_network.hh"
@@ -126,6 +128,57 @@ TEST(Broadcast, ConcurrentBroadcastsAllComplete)
         net.tick(t);
     EXPECT_EQ(received.size(), 3u * 23u);
     EXPECT_EQ(net.flitsInFlight(), 0u);
+}
+
+TEST(Broadcast, MixedTrafficTimingIsPinned)
+{
+    // Concurrent broadcasts mixed with saturating unicasts on a
+    // double-clocked 2:2:4 hierarchy: broadcast copies and unicast
+    // cells compete for the IRIs' transfer queues, so cells take
+    // retry laps on both levels. The whole (packet, receiver, cycle)
+    // delivery sequence is pinned by its FNV-1a digest, next to its
+    // length and the retry count, so any change to the slotted
+    // switching rule's timing shows here.
+    SlottedRingNetwork::Params params;
+    params.topo = RingTopology::parse("2:2:4");
+    params.cacheLineBytes = 32;
+    params.globalRingSpeed = 2;
+    SlottedRingNetwork net(params);
+    PacketFactory factory(ChannelSpec::ring(), 32);
+
+    std::ostringstream sequence;
+    std::size_t deliveries = 0;
+    net.setDeliveryHandler([&](const Packet &pkt, Cycle now) {
+        sequence << pkt.id << ' ' << pkt.dst << ' ' << now << '\n';
+        ++deliveries;
+    });
+    const int pms = net.numProcessors();
+    for (Cycle t = 0; t < 1500; ++t) {
+        if (t < 600) {
+            for (NodeId src = 0; src < pms; ++src) {
+                const auto dst = static_cast<NodeId>(
+                    (src + 5 + static_cast<NodeId>(t % 7)) % pms);
+                const Packet unicast = factory.makeRequest(
+                    src, dst, (t + static_cast<Cycle>(src)) % 3 == 0,
+                    t);
+                if (net.canInject(src, unicast))
+                    net.inject(src, unicast);
+            }
+            if (t % 40 == 0) {
+                const auto src = static_cast<NodeId>((t / 40) * 5 % pms);
+                Packet bcast =
+                    factory.makeRequest(src, broadcastNode, false, t);
+                bcast.sizeFlits = 1;
+                if (net.canInject(src, bcast))
+                    net.inject(src, bcast);
+            }
+        }
+        net.tick(t);
+    }
+    EXPECT_EQ(net.flitsInFlight(), 0u);
+    EXPECT_EQ(deliveries, 1049u);
+    EXPECT_EQ(net.totalRetries(), 956u);
+    EXPECT_EQ(fnv1a64(sequence.str()), 17606021957000297792u);
 }
 
 TEST(Broadcast, WormholeRingRejectsBroadcast)
