@@ -12,11 +12,11 @@
  *    scratch flags are dead. Components therefore serialize visible
  *    state only.
  *  - Authoritative state only. Anything rebuilt by an existing
- *    construction path — column bindings, cached source-queue
- *    pointers, utilization counter pointers, route LUTs, derived
- *    scheduler membership — is reconstructed at construction or
- *    after load (bindColumns / cacheLinkCounters / the ring's
- *    schedule reseed), never serialized.
+ *    construction path — wake-mask and neighbor pointers, cached
+ *    source-queue pointers, utilization counter pointers, route
+ *    LUTs, derived scheduler membership — is reconstructed at
+ *    construction or after load (constructors / cacheLinkCounters /
+ *    the ring's schedule reseed), never serialized.
  *  - saveState() is const and must not perturb the run: a run that
  *    saves a checkpoint stays bit-identical to one that does not.
  *  - Field order is fixed and symmetric: loadState() reads exactly

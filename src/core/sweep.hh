@@ -21,7 +21,7 @@
  * the config — wall-clock timing lives only in the run manifest, so
  * `--jobs 1` and `--jobs N` serialize byte-identical metric sections.
  *
- * It also extends through the tick scheduler (src/sim/columns.hh):
+ * It also extends through the tick scheduler (src/sim/active_mask.hh):
  * which components tick and which cycles fast-forward is itself a
  * pure function of the config.
  *

@@ -17,21 +17,16 @@ MeshNetwork::MeshNetwork(const Params &params)
 
     const int num_pms = params_.width * params_.width;
     const auto p = static_cast<std::size_t>(num_pms);
-    // The routers' changed/poked flag pairs live in one flat column
-    // indexed by router id, bound as each router is built.
-    flagsCol_.resize(p);
     activeMask_.reset(p);
     routers_.reserve(p);
     for (NodeId id = 0; id < num_pms; ++id) {
         MeshRouter &router = routers_.emplace_back(
             id, params_.width, bufferFlits_, clFlits_, &packets_,
-            params_.roundRobinArbitration);
+            &activeMask_, params_.roundRobinArbitration);
         router.setDeliver([this](const Packet &pkt, Cycle when) {
             delivered(pkt, when);
         });
         router.setTracerSlot(&tracer_);
-        router.bindColumns(&flagsCol_[static_cast<std::size_t>(id)],
-                           &activeMask_);
     }
 
     // e-cube routing LUT: one row per router, one byte per

@@ -9,10 +9,10 @@
  * only, matching the paper's metric.
  *
  * The network ticks only awake routers, held in an ActiveMask bitmap
- * (sim/columns.hh); each router's changed/poked flag pair lives in a
- * network-owned column, and the routers themselves sit contiguously,
- * so the commit and sleep sweeps are linear walks. See DESIGN.md
- * section 10 for the scheduling invariants.
+ * (sim/active_mask.hh); each router keeps its own changed/poked flag
+ * pair, and the routers sit contiguously, so the commit and sleep
+ * sweeps are linear walks. See DESIGN.md section 10 for the
+ * scheduling invariants.
  */
 
 #ifndef HRSIM_MESH_MESH_NETWORK_HH
@@ -103,11 +103,9 @@ class MeshNetwork : public Network
     UtilizationTracker util_;
     UtilizationTracker::GroupId meshGroup_;
 
-    // Scheduler state: one changed/poked flag pair per router,
-    // contiguous, plus the bitmap of awake routers. Router evaluation
+    // Scheduler state: the bitmap of awake routers. Router evaluation
     // order is immaterial (two-phase FIFOs); the mask scans in id
     // order so behaviour is easy to reason about.
-    std::vector<RouterFlags> flagsCol_;
     ActiveMask activeMask_;
     /** Saturated ticks since the last amortized sleep sweep. */
     std::uint32_t satTicks_ = 0;

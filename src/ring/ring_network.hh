@@ -144,7 +144,7 @@ class RingNetwork : public Network
     UtilizationTracker util_;
     std::vector<UtilizationTracker::GroupId> levelGroups_;
 
-    /** Awake NICs / IRIs (see sim/columns.hh). */
+    /** Awake NICs / IRIs (see sim/active_mask.hh). */
     ActiveMask nicMask_;
     ActiveMask iriMask_;
     /** Per-IRI flag: upper side in the fast (global) domain. */

@@ -7,13 +7,51 @@ namespace hrsim
 {
 
 // ------------------------------------------------------------------ //
+// SlotLink
+
+std::optional<Flit>
+SlotLink::fill(StagedFifo<Flit> &resp, StagedFifo<Flit> &req,
+               const PacketTable &packets) const
+{
+    const auto admissible = [&](const StagedFifo<Flit> &q) {
+        if (q.empty())
+            return false;
+        const Flit &cell = q.front();
+        const bool down_phase =
+            cell.isBroadcast() ? !inRing(packets.record(cell.slot).src)
+                               : inRing(cell.dst);
+        return down_phase ? occupancy->canAdmitDown(1)
+                          : occupancy->canAdmitUp(1);
+    };
+    std::optional<Flit> cell;
+    if (admissible(resp))
+        cell = resp.pop();
+    else if (admissible(req))
+        cell = req.pop();
+    if (cell) {
+        occupancy->add(1);
+        if (cell->isBroadcast())
+            cell->ttl = static_cast<std::uint16_t>(ringSlots);
+    }
+    return cell;
+}
+
+void
+SlotLink::send(const Flit &cell, UtilizationTracker &util,
+               UtilizationTracker::LinkId link) const
+{
+    HRSIM_ASSERT(downstream != nullptr && !downstream->staged);
+    downstream->staged = cell;
+    wakeMask->add(downstreamComp); // wake a sleeping neighbor
+    util.recordTransfer(link);
+}
+
+// ------------------------------------------------------------------ //
 // SlottedNic
 
 SlottedNic::SlottedNic(NodeId pm, std::uint32_t cl_flits,
-                       NodeId ring_lo, NodeId ring_hi,
-                       std::uint32_t ring_slots, PacketTable *packets)
-    : pm_(pm), ringLo_(ring_lo), ringHi_(ring_hi),
-      ringSlots_(ring_slots), packets_(packets)
+                       PacketTable *packets)
+    : pm_(pm), packets_(packets)
 {
     outResp_.setCapacity(cl_flits);
     outReq_.setCapacity(cl_flits);
@@ -39,7 +77,7 @@ SlottedNic::inject(const Packet &pkt)
 
 void
 SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
-                     UtilizationTracker::LinkId link)
+                     UtilizationTracker::LinkId link_id)
 {
     std::optional<Flit> outgoing;
 
@@ -58,7 +96,7 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
                 --cell.ttl;
                 outgoing = cell;
             } else {
-                occupancy->add(-1); // lap complete: cell retired
+                link.occupancy->add(-1); // lap complete: cell retired
                 packets_->release(cell.slot);
             }
         } else if (port_.slot->dst == pm_) {
@@ -66,7 +104,7 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
             // i.e. when this was the packet's last live cell (cells
             // of a unicast packet only ever leave by sinking here).
             const Flit &cell = *port_.slot;
-            occupancy->add(-1);
+            link.occupancy->add(-1);
             const Packet pkt = packets_->packet(cell);
             if (packets_->release(cell.slot) && deliver_)
                 deliver_(pkt, now);
@@ -76,36 +114,11 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
         port_.slot.reset();
     }
 
-    // Fill an empty slot from the PM, responses first. Cells bound
-    // for another ring must leave the reserved down-phase slot free.
-    if (!outgoing) {
-        const auto admissible = [this](const StagedFifo<Flit> &q) {
-            if (q.empty())
-                return false;
-            const Flit &cell = q.front();
-            const bool stays =
-                cell.dst >= ringLo_ && cell.dst < ringHi_;
-            return stays ? occupancy->canAdmitDown(1)
-                         : occupancy->canAdmitUp(1);
-        };
-        if (admissible(outResp_))
-            outgoing = outResp_.pop();
-        else if (admissible(outReq_))
-            outgoing = outReq_.pop();
-        if (outgoing) {
-            occupancy->add(1);
-            if (outgoing->isBroadcast())
-                outgoing->ttl = static_cast<std::uint16_t>(ringSlots_);
-        }
-    }
-
-    HRSIM_ASSERT(downstream != nullptr);
-    HRSIM_ASSERT(!downstream->staged);
-    if (outgoing) {
-        downstream->staged = outgoing;
-        wakeMask->add(downstreamComp); // wake a sleeping neighbor
-        util.recordTransfer(link);
-    }
+    // Fill an empty slot from the PM, responses first.
+    if (!outgoing)
+        outgoing = link.fill(outResp_, outReq_, *packets_);
+    if (outgoing)
+        link.send(*outgoing, util, link_id);
 }
 
 void
@@ -128,197 +141,95 @@ SlottedNic::flitCount() const
 }
 
 // ------------------------------------------------------------------ //
+// SlottedIriHalf
+
+SlottedIriHalf::SlottedIriHalf(bool upper, NodeId subtree_lo,
+                               NodeId subtree_hi, PacketTable *packets,
+                               StagedFifo<Flit> &divert_resp,
+                               StagedFifo<Flit> &divert_req,
+                               StagedFifo<Flit> &drain_resp,
+                               StagedFifo<Flit> &drain_req)
+    : upper_(upper), subtreeLo_(subtree_lo), subtreeHi_(subtree_hi),
+      packets_(packets), divertResp_(divert_resp),
+      divertReq_(divert_req), drainResp_(drain_resp),
+      drainReq_(drain_req)
+{
+    HRSIM_ASSERT(subtree_lo < subtree_hi);
+}
+
+void
+SlottedIriHalf::evaluate(UtilizationTracker &util,
+                         UtilizationTracker::LinkId link_id)
+{
+    std::optional<Flit> outgoing;
+
+    if (port_.slot) {
+        Flit cell = *port_.slot;
+        port_.slot.reset();
+        if (cell.isBroadcast()) {
+            // The lower half copies a broadcast from its subtree up
+            // toward the parent ring; the upper half copies one from
+            // anywhere else down into the subtree. Every half
+            // forwards it until its lap completes. A full queue
+            // skips the copy without consuming the lap so the cell
+            // retries next time around.
+            bool lap_consumed = true;
+            if (inSubtree(packets_->record(cell.slot).src) != upper_) {
+                if (divertReq_.canPush()) {
+                    divertReq_.push(cell);
+                    packets_->addCopy(cell.slot);
+                } else {
+                    lap_consumed = false;
+                }
+            }
+            if (!lap_consumed) {
+                outgoing = cell; // extra lap, ttl untouched
+            } else if (cell.ttl > 1) {
+                --cell.ttl;
+                outgoing = cell;
+            } else {
+                link.occupancy->add(-1); // lap complete: cell retired
+                packets_->release(cell.slot);
+            }
+        } else if (inSubtree(cell.dst) == upper_) {
+            // Ascend from the lower ring, descend from the upper one.
+            StagedFifo<Flit> &queue =
+                isRequest(cell.type) ? divertReq_ : divertResp_;
+            if (queue.canPush()) {
+                queue.push(cell);
+                link.occupancy->add(-1);
+            } else {
+                outgoing = cell; // full: take another lap
+                ++retries_;
+            }
+        } else {
+            outgoing = cell; // continue on this ring
+        }
+    }
+
+    // Refill an empty slot from the other half's divert queues,
+    // responses first. Descents are down-phase on the lower ring by
+    // construction, so there the gate always admits.
+    if (!outgoing)
+        outgoing = link.fill(drainResp_, drainReq_, *packets_);
+    if (outgoing)
+        link.send(*outgoing, util, link_id);
+}
+
+// ------------------------------------------------------------------ //
 // SlottedIri
 
 SlottedIri::SlottedIri(NodeId subtree_lo, NodeId subtree_hi,
-                       std::uint32_t cl_flits, NodeId parent_lo,
-                       NodeId parent_hi, std::uint32_t lower_slots,
-                       std::uint32_t upper_slots, PacketTable *packets)
-    : subtreeLo_(subtree_lo), subtreeHi_(subtree_hi),
-      parentLo_(parent_lo), parentHi_(parent_hi),
-      lowerSlots_(lower_slots), upperSlots_(upper_slots),
-      packets_(packets)
+                       std::uint32_t cl_flits, PacketTable *packets)
+    : lower_(false, subtree_lo, subtree_hi, packets, upResp_, upReq_,
+             downResp_, downReq_),
+      upper_(true, subtree_lo, subtree_hi, packets, downResp_, downReq_,
+             upResp_, upReq_)
 {
-    HRSIM_ASSERT(subtree_lo < subtree_hi);
     upResp_.setCapacity(cl_flits);
     upReq_.setCapacity(cl_flits);
     downResp_.setCapacity(cl_flits);
     downReq_.setCapacity(cl_flits);
-}
-
-StagedFifo<Flit> &
-SlottedIri::upQueue(PacketType type)
-{
-    return isRequest(type) ? upReq_ : upResp_;
-}
-
-StagedFifo<Flit> &
-SlottedIri::downQueue(PacketType type)
-{
-    return isRequest(type) ? downReq_ : downResp_;
-}
-
-void
-SlottedIri::evaluateLower(UtilizationTracker &util,
-                          UtilizationTracker::LinkId link)
-{
-    std::optional<Flit> outgoing;
-
-    if (lower_.slot && lower_.slot->isBroadcast()) {
-        // Ascent: the home-path IRI copies the broadcast toward the
-        // parent ring; everyone forwards until the lap completes. A
-        // full up queue skips the copy without consuming the lap so
-        // the cell retries next time around.
-        Flit cell = *lower_.slot;
-        lower_.slot.reset();
-        const bool home = inSubtree(packets_->record(cell.slot).src);
-        bool lap_consumed = true;
-        if (home) {
-            if (upReq_.canPush()) {
-                upReq_.push(cell);
-                packets_->addCopy(cell.slot);
-            } else {
-                lap_consumed = false;
-            }
-        }
-        if (!lap_consumed) {
-            outgoing = cell; // extra lap, ttl untouched
-        } else if (cell.ttl > 1) {
-            --cell.ttl;
-            outgoing = cell;
-        } else {
-            lowerOccupancy->add(-1); // lap complete: cell retired
-            packets_->release(cell.slot);
-        }
-    } else if (lower_.slot) {
-        const Flit &cell = *lower_.slot;
-        if (!inSubtree(cell.dst)) {
-            StagedFifo<Flit> &queue = upQueue(cell.type);
-            if (queue.canPush()) {
-                queue.push(cell); // ascend
-                lowerOccupancy->add(-1);
-            } else {
-                outgoing = cell; // full: take another lap
-                ++retries_;
-            }
-        } else {
-            outgoing = cell; // continue on the lower ring
-        }
-        lower_.slot.reset();
-    }
-
-    // Refill an empty slot with a descending cell, responses first.
-    // Descents are down-phase on the lower ring by construction
-    // (their destination is inside this subtree), so they are always
-    // admissible into an empty slot.
-    if (!outgoing) {
-        if (!downResp_.empty())
-            outgoing = downResp_.pop();
-        else if (!downReq_.empty())
-            outgoing = downReq_.pop();
-        if (outgoing) {
-            lowerOccupancy->add(1);
-            if (outgoing->isBroadcast())
-                outgoing->ttl =
-                    static_cast<std::uint16_t>(lowerSlots_);
-        }
-    }
-
-    HRSIM_ASSERT(lowerDownstream != nullptr);
-    HRSIM_ASSERT(!lowerDownstream->staged);
-    if (outgoing) {
-        lowerDownstream->staged = outgoing;
-        wakeMask->add(lowerDownstreamComp); // wake a sleeping neighbor
-        util.recordTransfer(link);
-    }
-}
-
-void
-SlottedIri::evaluateUpper(UtilizationTracker &util,
-                          UtilizationTracker::LinkId link)
-{
-    std::optional<Flit> outgoing;
-
-    if (upper_.slot && upper_.slot->isBroadcast()) {
-        // Descent: copy into every subtree except the one the
-        // broadcast came from; forward until the lap completes.
-        Flit cell = *upper_.slot;
-        upper_.slot.reset();
-        const bool from_here =
-            inSubtree(packets_->record(cell.slot).src);
-        bool lap_consumed = true;
-        if (!from_here) {
-            if (downReq_.canPush()) {
-                downReq_.push(cell);
-                packets_->addCopy(cell.slot);
-            } else {
-                lap_consumed = false;
-            }
-        }
-        if (!lap_consumed) {
-            outgoing = cell; // extra lap, ttl untouched
-        } else if (cell.ttl > 1) {
-            --cell.ttl;
-            outgoing = cell;
-        } else {
-            upperOccupancy->add(-1); // lap complete: cell retired
-            packets_->release(cell.slot);
-        }
-    } else if (upper_.slot) {
-        const Flit &cell = *upper_.slot;
-        if (inSubtree(cell.dst)) {
-            StagedFifo<Flit> &queue = downQueue(cell.type);
-            if (queue.canPush()) {
-                queue.push(cell); // descend
-                upperOccupancy->add(-1);
-            } else {
-                outgoing = cell; // full: take another lap
-                ++retries_;
-            }
-        } else {
-            outgoing = cell; // continue on the upper ring
-        }
-        upper_.slot.reset();
-    }
-
-    // Refill from the up queue. A cell whose destination lies inside
-    // the parent ring's subtree is down-phase there (self-draining);
-    // one that must ascend further leaves the reserved slot free.
-    if (!outgoing) {
-        const auto admissible = [this](const StagedFifo<Flit> &q) {
-            if (q.empty())
-                return false;
-            const Flit &cell = q.front();
-            const bool down_phase =
-                cell.dst >= parentLo_ && cell.dst < parentHi_;
-            return down_phase ? upperOccupancy->canAdmitDown(1)
-                              : upperOccupancy->canAdmitUp(1);
-        };
-        if (admissible(upResp_))
-            outgoing = upResp_.pop();
-        else if (admissible(upReq_))
-            outgoing = upReq_.pop();
-        if (outgoing) {
-            upperOccupancy->add(1);
-            if (outgoing->isBroadcast())
-                outgoing->ttl =
-                    static_cast<std::uint16_t>(upperSlots_);
-        }
-    }
-
-    HRSIM_ASSERT(upperDownstream != nullptr);
-    HRSIM_ASSERT(!upperDownstream->staged);
-    if (outgoing) {
-        upperDownstream->staged = outgoing;
-        wakeMask->add(upperDownstreamComp); // wake a sleeping neighbor
-        util.recordTransfer(link);
-    }
-}
-
-void
-SlottedIri::commitLower()
-{
-    lower_.commit();
 }
 
 void
@@ -334,21 +245,29 @@ SlottedIri::commitUpper()
 std::uint64_t
 SlottedIri::flitCount() const
 {
-    std::uint64_t count = upResp_.totalSize() + upReq_.totalSize() +
-                          downResp_.totalSize() + downReq_.totalSize();
-    if (lower_.slot)
-        ++count;
-    if (lower_.staged)
-        ++count;
-    if (upper_.slot)
-        ++count;
-    if (upper_.staged)
-        ++count;
-    return count;
+    return lower_.flitCount() + upper_.flitCount() +
+           upResp_.totalSize() + upReq_.totalSize() +
+           downResp_.totalSize() + downReq_.totalSize();
 }
 
 // ------------------------------------------------------------------ //
 // SlottedRingNetwork
+
+template <typename Fn>
+decltype(auto)
+SlottedRingNetwork::atSlot(const RingSlotDesc &slot, Fn &&fn)
+{
+    const auto i = static_cast<std::size_t>(slot.index);
+    switch (slot.kind) {
+      case RingSlotDesc::Kind::Nic:
+        return fn(nics_[i]);
+      case RingSlotDesc::Kind::IriLower:
+        return fn(iris_[i].lower());
+      case RingSlotDesc::Kind::IriUpper:
+        return fn(iris_[i].upper());
+    }
+    HRSIM_PANIC("unknown ring slot kind");
+}
 
 SlottedRingNetwork::SlottedRingNetwork(const Params &params)
     : params_(params), structure_(RingStructure::build(params.topo)),
@@ -372,32 +291,21 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
     const int num_pms = structure_.numProcessors();
     nics_.reserve(static_cast<std::size_t>(num_pms));
     for (NodeId pm = 0; pm < num_pms; ++pm) {
-        const auto ring = static_cast<std::size_t>(
-            structure_.nicRing[static_cast<std::size_t>(pm)]);
-        const RingDesc &desc = structure_.rings[ring];
-        SlottedNic &nic = nics_.emplace_back(
-            pm, clFlits_, desc.subtreeLo, desc.subtreeHi,
-            static_cast<std::uint32_t>(desc.slots.size()), &packets_);
-        nic.occupancy = &occupancy_[ring];
+        SlottedNic &nic = nics_.emplace_back(pm, clFlits_, &packets_);
         nic.setDeliver([this](const Packet &pkt, Cycle when) {
             delivered(pkt, when);
         });
     }
     iris_.reserve(structure_.iris.size());
     for (const IriDesc &desc : structure_.iris) {
-        const RingDesc &parent = structure_.rings[
-            static_cast<std::size_t>(desc.parentRing)];
+        // The lower half's ring is exactly the IRI's subtree, which
+        // its refill gate relies on (descents are down-phase there).
         const RingDesc &child = structure_.rings[
             static_cast<std::size_t>(desc.childRing)];
-        SlottedIri &iri = iris_.emplace_back(
-            desc.subtreeLo, desc.subtreeHi, clFlits_,
-            parent.subtreeLo, parent.subtreeHi,
-            static_cast<std::uint32_t>(child.slots.size()),
-            static_cast<std::uint32_t>(parent.slots.size()), &packets_);
-        iri.lowerOccupancy =
-            &occupancy_[static_cast<std::size_t>(desc.childRing)];
-        iri.upperOccupancy =
-            &occupancy_[static_cast<std::size_t>(desc.parentRing)];
+        HRSIM_ASSERT(child.subtreeLo == desc.subtreeLo &&
+                     child.subtreeHi == desc.subtreeHi);
+        iris_.emplace_back(desc.subtreeLo, desc.subtreeHi, clFlits_,
+                           &packets_);
     }
 
     levelGroups_.resize(static_cast<std::size_t>(structure_.numLevels));
@@ -416,10 +324,6 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
             iriFast_[i] = 1;
         }
     }
-    for (SlottedNic &nic : nics_)
-        nic.wakeMask = &active_;
-    for (SlottedIri &iri : iris_)
-        iri.wakeMask = &active_;
 
     // Wire each ring and build the evaluation schedule.
     for (std::size_t r = 0; r < structure_.rings.size(); ++r) {
@@ -429,69 +333,35 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
         const bool fast = is_root && params_.globalRingSpeed > 1;
         for (std::size_t i = 0; i < n; ++i) {
             const RingSlotDesc &slot = ring.slots[i];
-            const RingSlotDesc &to_slot = ring.slots[(i + 1) % n];
-            SlotPort &to = portAt(to_slot);
-            const auto to_comp = static_cast<std::uint32_t>(
-                to_slot.kind == RingSlotDesc::Kind::Nic
-                    ? to_slot.index
-                    : num_pms + to_slot.index);
+            const RingSlotDesc &next = ring.slots[(i + 1) % n];
+            SlotPort *to =
+                atSlot(next, [](auto &node) { return &node.port(); });
+            atSlot(slot, [&](auto &node) {
+                SlotLink &link = node.link;
+                link.downstream = to;
+                link.wakeMask = &active_;
+                link.downstreamComp = compOf(next);
+                link.occupancy = &occupancy_[r];
+                link.ringLo = ring.subtreeLo;
+                link.ringHi = ring.subtreeHi;
+                link.ringSlots = static_cast<std::uint32_t>(n);
+            });
             const auto link = util_.addLink(
                 levelGroups_[static_cast<std::size_t>(ring.level)],
                 is_root ? params_.globalRingSpeed : 1);
-
-            Hop hop;
-            hop.index = slot.index;
-            hop.link = link;
-            switch (slot.kind) {
-              case RingSlotDesc::Kind::Nic: {
-                hop.kind = Hop::Kind::Nic;
-                SlottedNic &nic = nics_[static_cast<std::size_t>(slot.index)];
-                nic.downstream = &to;
-                nic.downstreamComp = to_comp;
-                break;
-              }
-              case RingSlotDesc::Kind::IriLower: {
-                hop.kind = Hop::Kind::IriLower;
-                SlottedIri &iri = iris_[static_cast<std::size_t>(slot.index)];
-                iri.lowerDownstream = &to;
-                iri.lowerDownstreamComp = to_comp;
-                break;
-              }
-              case RingSlotDesc::Kind::IriUpper: {
-                hop.kind = Hop::Kind::IriUpper;
-                SlottedIri &iri = iris_[static_cast<std::size_t>(slot.index)];
-                iri.upperDownstream = &to;
-                iri.upperDownstreamComp = to_comp;
-                break;
-              }
-            }
-            (fast ? fastHops_ : slowHops_).push_back(hop);
+            (fast ? fastHops_ : slowHops_).push_back(Hop{slot, link});
         }
     }
 }
 
 std::uint32_t
-SlottedRingNetwork::compOf(const Hop &hop) const
+SlottedRingNetwork::compOf(const RingSlotDesc &slot) const
 {
     const auto pms =
         static_cast<std::uint32_t>(structure_.numProcessors());
-    return hop.kind == Hop::Kind::Nic
-               ? static_cast<std::uint32_t>(hop.index)
-               : pms + static_cast<std::uint32_t>(hop.index);
-}
-
-SlotPort &
-SlottedRingNetwork::portAt(const RingSlotDesc &slot)
-{
-    switch (slot.kind) {
-      case RingSlotDesc::Kind::Nic:
-        return nics_[static_cast<std::size_t>(slot.index)].port();
-      case RingSlotDesc::Kind::IriLower:
-        return iris_[static_cast<std::size_t>(slot.index)].lower();
-      case RingSlotDesc::Kind::IriUpper:
-        return iris_[static_cast<std::size_t>(slot.index)].upper();
-    }
-    HRSIM_PANIC("unknown ring slot kind");
+    return slot.kind == RingSlotDesc::Kind::Nic
+               ? static_cast<std::uint32_t>(slot.index)
+               : pms + static_cast<std::uint32_t>(slot.index);
 }
 
 int
@@ -522,18 +392,16 @@ void
 SlottedRingNetwork::tick(Cycle now)
 {
     const auto run = [&](const Hop &hop) {
-        switch (hop.kind) {
-          case Hop::Kind::Nic:
-            nics_[static_cast<std::size_t>(hop.index)].evaluate(
-                now, util_, hop.link);
+        const auto i = static_cast<std::size_t>(hop.slot.index);
+        switch (hop.slot.kind) {
+          case RingSlotDesc::Kind::Nic:
+            nics_[i].evaluate(now, util_, hop.link);
             break;
-          case Hop::Kind::IriLower:
-            iris_[static_cast<std::size_t>(hop.index)].evaluateLower(
-                util_, hop.link);
+          case RingSlotDesc::Kind::IriLower:
+            iris_[i].lower().evaluate(util_, hop.link);
             break;
-          case Hop::Kind::IriUpper:
-            iris_[static_cast<std::size_t>(hop.index)].evaluateUpper(
-                util_, hop.link);
+          case RingSlotDesc::Kind::IriUpper:
+            iris_[i].upper().evaluate(util_, hop.link);
             break;
         }
     };
@@ -549,7 +417,7 @@ SlottedRingNetwork::tick(Cycle now)
     const auto pms =
         static_cast<std::uint32_t>(structure_.numProcessors());
     for (const Hop &hop : slowHops_) {
-        if (active_.contains(compOf(hop)))
+        if (active_.contains(compOf(hop.slot)))
             run(hop);
     }
 
@@ -558,7 +426,7 @@ SlottedRingNetwork::tick(Cycle now)
             nics_[id].commit();
         } else {
             const std::uint32_t i = id - pms;
-            iris_[i].commitLower();
+            iris_[i].lower().commit();
             if (!iriFast_[i])
                 iris_[i].commitUpper();
         }
@@ -568,7 +436,7 @@ SlottedRingNetwork::tick(Cycle now)
         for (std::uint32_t sub = 0; sub < params_.globalRingSpeed;
              ++sub) {
             for (const Hop &hop : fastHops_) {
-                if (active_.contains(compOf(hop)))
+                if (active_.contains(compOf(hop.slot)))
                     run(hop);
             }
             active_.forEach([this, pms](std::uint32_t id) {

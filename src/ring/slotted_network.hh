@@ -36,7 +36,7 @@
 #include "proto/packet.hh"
 #include "ring/ring_node.hh"
 #include "ring/topology.hh"
-#include "sim/columns.hh"
+#include "sim/active_mask.hh"
 #include "sim/network.hh"
 
 namespace hrsim
@@ -56,21 +56,48 @@ struct SlotPort
     }
 };
 
+/**
+ * Where an attachment point sends its cells: the downstream slot on
+ * its ring, that ring's occupancy and PM range, and its slot count.
+ * The network wires every field from the ring's RingDesc; NICs and
+ * both IRI halves fill and send through it.
+ */
+struct SlotLink
+{
+    SlotPort *downstream = nullptr;
+    /** Staging a cell downstream wakes that component. */
+    ActiveMask *wakeMask = nullptr;
+    std::uint32_t downstreamComp = 0;
+    RingOccupancy *occupancy = nullptr;
+    NodeId ringLo = 0; //!< first PM id reachable below this ring
+    NodeId ringHi = 0; //!< one past the last such PM id
+    std::uint32_t ringSlots = 0;
+
+    /**
+     * Fill an empty slot from @a resp, else @a req, behind the ring's
+     * admission gate, and give a broadcast one lap of TTL. A cell is
+     * down-phase (self-draining, so it may take the reserved slot)
+     * when it is a unicast bound inside the ring's subtree or a
+     * broadcast descending from outside it.
+     */
+    std::optional<Flit> fill(StagedFifo<Flit> &resp,
+                             StagedFifo<Flit> &req,
+                             const PacketTable &packets) const;
+
+    /** Stage @a cell into the downstream slot. */
+    void send(const Flit &cell, UtilizationTracker &util,
+              UtilizationTracker::LinkId link) const;
+
+    bool inRing(NodeId pm) const { return pm >= ringLo && pm < ringHi; }
+};
+
 class SlottedNic
 {
   public:
     using DeliverFn = std::function<void(const Packet &, Cycle)>;
 
-    /**
-     * @param ring_lo / @param ring_hi PM range of this NIC's ring,
-     *        classifying injected cells as staying (down-phase) or
-     *        ascending (up-phase, which must leave the reserved
-     *        slot free).
-     * @param packets The network's packet table.
-     */
-    SlottedNic(NodeId pm, std::uint32_t cl_flits, NodeId ring_lo,
-               NodeId ring_hi, std::uint32_t ring_slots,
-               PacketTable *packets);
+    /** @param packets The network's packet table. */
+    SlottedNic(NodeId pm, std::uint32_t cl_flits, PacketTable *packets);
 
     SlottedNic(const SlottedNic &) = delete;
     SlottedNic &operator=(const SlottedNic &) = delete;
@@ -86,19 +113,12 @@ class SlottedNic
     void setDeliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
     SlotPort &port() { return port_; }
-    SlotPort *downstream = nullptr;
-    RingOccupancy *occupancy = nullptr;
-    /** Wake wiring: staging downstream wakes that component. */
-    ActiveMask *wakeMask = nullptr;
-    std::uint32_t downstreamComp = 0;
+    SlotLink link;
 
     std::uint64_t flitCount() const;
 
   private:
     NodeId pm_;
-    NodeId ringLo_;
-    NodeId ringHi_;
-    std::uint32_t ringSlots_;
     SlotPort port_;
     StagedFifo<Flit> outResp_;
     StagedFifo<Flit> outReq_;
@@ -106,77 +126,118 @@ class SlottedNic
     DeliverFn deliver_;
 };
 
-class SlottedIri
+/**
+ * One side of a slotted IRI: its slot on the lower or the upper
+ * ring, the two transfer queues it diverts ring-changing cells into,
+ * and the two it drains into empty slots (the other half's divert
+ * queues). The queues belong to the owning SlottedIri. Both halves
+ * run one rule, mirrored by the upper flag:
+ *  - a broadcast is copied across iff inSubtree(src) != upper;
+ *  - a unicast leaves its ring iff inSubtree(dst) == upper;
+ *  - an empty slot refills from the drain queues.
+ */
+class SlottedIriHalf
 {
   public:
     /**
-     * @param parent_lo / @param parent_hi PM range of the parent
-     *        ring, classifying cells ascending onto it.
+     * @param upper True for the half on the parent ring.
      * @param packets The network's packet table (broadcast copies
      *        into the transfer queues add live flits).
+     * @param divert_resp / @p divert_req Queues this half diverts
+     *        ring-changing responses / requests into.
+     * @param drain_resp / @p drain_req Queues this half refills
+     *        empty slots from.
      */
-    SlottedIri(NodeId subtree_lo, NodeId subtree_hi,
-               std::uint32_t cl_flits, NodeId parent_lo,
-               NodeId parent_hi, std::uint32_t lower_slots,
-               std::uint32_t upper_slots, PacketTable *packets);
+    SlottedIriHalf(bool upper, NodeId subtree_lo, NodeId subtree_hi,
+                   PacketTable *packets, StagedFifo<Flit> &divert_resp,
+                   StagedFifo<Flit> &divert_req,
+                   StagedFifo<Flit> &drain_resp,
+                   StagedFifo<Flit> &drain_req);
 
-    SlottedIri(const SlottedIri &) = delete;
-    SlottedIri &operator=(const SlottedIri &) = delete;
+    SlottedIriHalf(const SlottedIriHalf &) = delete;
+    SlottedIriHalf &operator=(const SlottedIriHalf &) = delete;
 
-    /** Lower-ring side: pass / pull up / refill from down queue. */
-    void evaluateLower(UtilizationTracker &util,
-                       UtilizationTracker::LinkId link);
+    /** Pass / divert / refill for one cycle. */
+    void evaluate(UtilizationTracker &util,
+                  UtilizationTracker::LinkId link);
 
-    /** Upper-ring side: pass / pull down / refill from up queue. */
-    void evaluateUpper(UtilizationTracker &util,
-                       UtilizationTracker::LinkId link);
+    void commit() { port_.commit(); }
 
-    void commitLower();
-    void commitUpper();
+    SlotPort &port() { return port_; }
+    SlotLink link;
 
-    SlotPort &lower() { return lower_; }
-    SlotPort &upper() { return upper_; }
-    SlotPort *lowerDownstream = nullptr;
-    SlotPort *upperDownstream = nullptr;
-    RingOccupancy *lowerOccupancy = nullptr;
-    RingOccupancy *upperOccupancy = nullptr;
-    /** Wake wiring: staging downstream wakes that component. */
-    ActiveMask *wakeMask = nullptr;
-    std::uint32_t lowerDownstreamComp = 0;
-    std::uint32_t upperDownstreamComp = 0;
+    /** Cells in the slot and the staged slot. */
+    std::uint64_t
+    flitCount() const
+    {
+        return static_cast<std::uint64_t>(port_.slot.has_value()) +
+               static_cast<std::uint64_t>(port_.staged.has_value());
+    }
 
+    /** Cells that had to take another lap (full transfer queue). */
+    std::uint64_t retries() const { return retries_; }
+
+  private:
     bool
     inSubtree(NodeId pm) const
     {
         return pm >= subtreeLo_ && pm < subtreeHi_;
     }
 
+    bool upper_;
+    NodeId subtreeLo_;
+    NodeId subtreeHi_;
+    PacketTable *packets_;
+    SlotPort port_;
+    StagedFifo<Flit> &divertResp_;
+    StagedFifo<Flit> &divertReq_;
+    StagedFifo<Flit> &drainResp_;
+    StagedFifo<Flit> &drainReq_;
+    std::uint64_t retries_ = 0;
+};
+
+class SlottedIri
+{
+  public:
+    /**
+     * @param subtree_lo First PM id below this IRI.
+     * @param subtree_hi One past the last PM id below this IRI.
+     * @param cl_flits Transfer queue depth in flits.
+     */
+    SlottedIri(NodeId subtree_lo, NodeId subtree_hi,
+               std::uint32_t cl_flits, PacketTable *packets);
+
+    SlottedIri(const SlottedIri &) = delete;
+    SlottedIri &operator=(const SlottedIri &) = delete;
+
+    SlottedIriHalf &lower() { return lower_; }
+    SlottedIriHalf &upper() { return upper_; }
+
+    /**
+     * Commit state owned by the upper ring's clock domain: the upper
+     * half and the four transfer queues, which are the clock-domain
+     * crossing when the global ring is double-clocked.
+     */
+    void commitUpper();
+
     std::uint64_t flitCount() const;
 
     /** Cells that had to take another lap (full transfer queue). */
-    std::uint64_t retries() const { return retries_; }
+    std::uint64_t
+    retries() const
+    {
+        return lower_.retries() + upper_.retries();
+    }
 
   private:
-    StagedFifo<Flit> &upQueue(PacketType type);
-    StagedFifo<Flit> &downQueue(PacketType type);
-
-    NodeId subtreeLo_;
-    NodeId subtreeHi_;
-    NodeId parentLo_;
-    NodeId parentHi_;
-    std::uint32_t lowerSlots_;
-    std::uint32_t upperSlots_;
-    PacketTable *packets_;
-
-    SlotPort lower_;
-    SlotPort upper_;
-
+    // Declared before the halves, which hold references to them.
     StagedFifo<Flit> upResp_;
     StagedFifo<Flit> upReq_;
     StagedFifo<Flit> downResp_;
     StagedFifo<Flit> downReq_;
 
-    std::uint64_t retries_ = 0;
+    SlottedIriHalf lower_;
+    SlottedIriHalf upper_;
 };
 
 /**
@@ -220,18 +281,19 @@ class SlottedRingNetwork : public Network
   private:
     struct Hop
     {
-        enum class Kind { Nic, IriLower, IriUpper } kind;
-        int index;
+        RingSlotDesc slot;
         UtilizationTracker::LinkId link;
     };
 
-    SlotPort &portAt(const RingSlotDesc &slot);
+    /** Call @a fn on the NIC or IRI half at @a slot. */
+    template <typename Fn>
+    decltype(auto) atSlot(const RingSlotDesc &slot, Fn &&fn);
 
     /**
      * Combined component index for the active mask: NICs are [0, P),
      * IRI i is P + i.
      */
-    std::uint32_t compOf(const Hop &hop) const;
+    std::uint32_t compOf(const RingSlotDesc &slot) const;
 
     Params params_;
     RingStructure structure_;

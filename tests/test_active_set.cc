@@ -19,7 +19,7 @@
 #include "proto/packet_factory.hh"
 #include "ring/ring_network.hh"
 #include "ring/slotted_network.hh"
-#include "sim/columns.hh"
+#include "sim/active_mask.hh"
 
 namespace hrsim
 {
