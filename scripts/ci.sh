@@ -47,7 +47,10 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 # lifetimes, kill tokens and broadcast copies across the grid.
 # FlowControl, DoubleSpeed and RingNetwork drive the IRI halves
 # through the wait/escape path and the double-clocked global ring.
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden|PacketTable|FlowControl|DoubleSpeed|RingNetwork'
+# Slotted and Broadcast drive the slotted IRI halves and their shared
+# transfer queues; MeshNetwork, MeshRouter and ActiveSetScheduler the
+# routers' own sleep flags and the wake mask they are built with.
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden|PacketTable|FlowControl|DoubleSpeed|RingNetwork|Slotted|Broadcast|MeshNetwork|MeshRouter|ActiveSetScheduler'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

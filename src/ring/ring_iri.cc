@@ -153,6 +153,27 @@ IriHalf::bindLoadedWorms()
     }
 }
 
+void
+IriHalf::checkLoadedFronts(const std::string &who) const
+{
+    const FlitSlot &latch = side_.in.cur;
+    const Flit *ring = nullptr;
+    if (!side_.transitBuf.empty()) {
+        ring = &side_.transitBuf.front();
+    } else if (latch) {
+        const bool continuing =
+            latch->isHead()
+                ? continues(latch->dst) ||
+                      escaped_ == packets_->id(latch->slot)
+                : memo_.route == WormRoute::Continue;
+        if (continuing)
+            ring = &*latch;
+    }
+    side_.out.checkLoadedFronts(
+        {ring, drainResp_.peek(), drainReq_.peek()},
+        who + (upper_ ? " upper" : " lower"));
+}
+
 RingIri::RingIri(NodeId subtree_lo, NodeId subtree_hi,
                  std::uint32_t cl_flits, std::uint32_t wait_limit,
                  PacketTable *packets, std::uint32_t queue_packets)

@@ -147,6 +147,16 @@ class IriHalf
      */
     void bindLoadedWorms();
 
+    /**
+     * After the whole network is loaded: refuse a worm shape the
+     * next transmit would assert on (RingOutput::checkLoadedFronts).
+     * The ring front is the transit buffer's front, else a latch flit
+     * known to continue: a body flit whose route memo says so, or a
+     * head bound inside this ring or already escaping. @a who names
+     * the IRI in the error.
+     */
+    void checkLoadedFronts(const std::string &who) const;
+
     std::uint64_t waitCycles() const { return waitCycles_; }
     std::uint64_t escapes() const { return escapes_; }
 

@@ -98,6 +98,25 @@ class RingNic
         loadFlitFifo(r, outReq_, *packets_);
     }
 
+    /**
+     * After the whole network is loaded: refuse a worm shape the
+     * next transmit would assert on (RingOutput::checkLoadedFronts).
+     * The ring front is the first transit flit: the transit buffer's
+     * front, else a latch flit that continues past this PM.
+     */
+    void
+    checkLoadedFronts() const
+    {
+        const FlitSlot &latch = side_.in.cur;
+        const Flit *ring = !side_.transitBuf.empty()
+                               ? &side_.transitBuf.front()
+                           : latch && isTransit(*latch) ? &*latch
+                                                        : nullptr;
+        side_.out.checkLoadedFronts(
+            {ring, respSource_.peek(), reqSource_.peek()},
+            "ring NIC " + std::to_string(pm_));
+    }
+
     /** Flits currently buffered in this NIC. */
     std::uint64_t flitCount() const;
 
