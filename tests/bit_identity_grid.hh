@@ -191,6 +191,42 @@ faultAndBufferGrid()
     return grid;
 }
 
+/** Model corners no line above reaches: an adaptive run with
+ *  metric snapshots (the MSER controller's state and the horizon
+ *  snapshots), locality R < 1 on a ring and a mesh (the region
+ *  target tables), and a single outstanding transaction (T = 1). */
+inline NamedConfigs
+modelCornerGrid()
+{
+    NamedConfigs grid;
+
+    SystemConfig cfg = SystemConfig::ring("2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 4;
+    cfg.sim.stop.relHw = 0.05;
+    cfg.sim.metricsEvery = 500;
+    grid.emplace_back("ring 2:4 adaptive metricsEvery=500", cfg);
+
+    cfg = SystemConfig::ring("2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.missRateC = 0.02;
+    cfg.workload.localityR = 0.5;
+    grid.emplace_back("ring 2:4 R=0.5", cfg);
+
+    cfg = SystemConfig::mesh(4, 64, 4);
+    cfg.sim = shortSim();
+    cfg.workload.missRateC = 0.02;
+    cfg.workload.localityR = 0.5;
+    grid.emplace_back("mesh 4 R=0.5", cfg);
+
+    cfg = SystemConfig::ring("2:4", 32);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 1;
+    grid.emplace_back("ring 2:4 T=1", cfg);
+
+    return grid;
+}
+
 /** A 2:4 ring replaying a synthetic uniform trace instead of the
  *  M-MRP generator. The trace is a function-local static, so the
  *  returned config's pointer stays valid for the whole process. */

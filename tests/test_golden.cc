@@ -9,9 +9,17 @@
  * engines as the oracle: any change to what a run computes or traces
  * shows up here as a named config.
  *
+ * A second corpus (tests/golden/ckpt_digests.txt) pins the
+ * checkpoint bytes: for every config the wormhole ring or the mesh
+ * can checkpoint, an FNV-1a digest of the checkpoint file saved at a
+ * fixed mid-run cycle and one of the saveRunResult() bytes of the
+ * run's result. Together they fix the byte layout of every
+ * checkpointed component and of the sweep journal's result files.
+ *
  * A corpus change is a deliberate act (DESIGN.md section 7): rewrite
- * the file with scripts/regen_golden.sh, which reruns this test with
- * HRSIM_GOLDEN_OUT set, and say why in CHANGES.md.
+ * both files with scripts/regen_golden.sh, which reruns this suite
+ * with HRSIM_GOLDEN_OUT and HRSIM_GOLDEN_CKPT_OUT set, and say why in
+ * CHANGES.md.
  */
 
 #include <gtest/gtest.h>
@@ -21,17 +29,25 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bit_identity_grid.hh"
+#include "ckpt/codec.hh"
+#include "ckpt/result_io.hh"
 #include "core/system.hh"
 #include "obs/flit_trace.hh"
 #include "obs/manifest.hh"
 
 #ifndef HRSIM_GOLDEN_FILE
 #error "HRSIM_GOLDEN_FILE must name tests/golden/digests.txt"
+#endif
+#ifndef HRSIM_GOLDEN_CKPT_FILE
+#error "HRSIM_GOLDEN_CKPT_FILE must name tests/golden/ckpt_digests.txt"
 #endif
 
 namespace hrsim
@@ -138,6 +154,8 @@ goldenGrid()
         grid.push_back(std::move(entry));
     grid.emplace_back("ring 2:4 trace replay",
                       testgrid::traceReplayConfig());
+    for (auto &entry : testgrid::modelCornerGrid())
+        grid.push_back(std::move(entry));
     return grid;
 }
 
@@ -187,18 +205,48 @@ readCorpus(const std::string &path)
 }
 
 void
-writeCorpus(const std::string &path,
+writeCorpus(const std::string &path, const std::string &columns,
             const std::vector<GoldenEntry> &entries)
 {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << "# Golden digests: <config> | <FNV-1a of the RunResult> | "
-           "<FNV-1a of the flit trace>\n"
-           "# Written by scripts/regen_golden.sh; any change needs a "
+    out << "# Golden digests: <config> | " << columns << "\n"
+        << "# Written by scripts/regen_golden.sh; any change needs a "
            "CHANGES.md line (DESIGN.md section 7).\n";
     for (const GoldenEntry &entry : entries) {
         out << entry.name << kSeparator << entry.result << kSeparator
             << entry.trace << '\n';
+    }
+}
+
+/**
+ * Compare @a got with the corpus at @a path, or rewrite the corpus
+ * when the environment variable @a out_env names a file. The second
+ * column is always compared; the third only when @a third is set.
+ */
+void
+checkCorpus(const std::vector<GoldenEntry> &got, const char *path,
+            const char *out_env, const std::string &columns,
+            const char *second, const char *third)
+{
+    if (const char *out = std::getenv(out_env)) {
+        ASSERT_TRUE(FlitTracer::compiledIn())
+            << "regenerate from a build with HRSIM_TRACE_FLITS=ON so "
+               "the trace digests are recorded too";
+        writeCorpus(out, columns, got);
+        return;
+    }
+
+    const std::vector<GoldenEntry> want = readCorpus(path);
+    ASSERT_EQ(got.size(), want.size())
+        << "the grid and the corpus list different configs; "
+           "regenerate with scripts/regen_golden.sh";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(got[i].name);
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_EQ(got[i].result, want[i].result) << second;
+        if (third != nullptr)
+            EXPECT_EQ(got[i].trace, want[i].trace) << third;
     }
 }
 
@@ -207,30 +255,45 @@ TEST(Golden, DigestsMatchCorpus)
     std::vector<GoldenEntry> got;
     for (const auto &[name, cfg] : goldenGrid())
         got.push_back(runEntry(name, cfg));
+    // A build without the trace hooks records no events; its trace
+    // digest is not comparable.
+    checkCorpus(got, HRSIM_GOLDEN_FILE, "HRSIM_GOLDEN_OUT",
+                "<FNV-1a of the RunResult> | <FNV-1a of the flit trace>",
+                "RunResult digest",
+                FlitTracer::compiledIn() ? "flit trace digest" : nullptr);
+}
 
-    if (const char *out = std::getenv("HRSIM_GOLDEN_OUT")) {
-        ASSERT_TRUE(FlitTracer::compiledIn())
-            << "regenerate from a build with HRSIM_TRACE_FLITS=ON so "
-               "the trace digests are recorded too";
-        writeCorpus(out, got);
-        return;
-    }
+/** The mid-run cycle every pinned checkpoint is saved at: past the
+ *  warmup and inside every fault window of the faulted lines. */
+constexpr Cycle kPinnedSaveCycle = 1200;
 
-    const std::vector<GoldenEntry> want = readCorpus(HRSIM_GOLDEN_FILE);
-    ASSERT_EQ(got.size(), want.size())
-        << "the grid and the corpus list different configs; "
-           "regenerate with scripts/regen_golden.sh";
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(got[i].name);
-        EXPECT_EQ(got[i].name, want[i].name);
-        EXPECT_EQ(got[i].result, want[i].result) << "RunResult digest";
-        // A build without the trace hooks records no events; its
-        // trace digest is not comparable.
-        if (FlitTracer::compiledIn()) {
-            EXPECT_EQ(got[i].trace, want[i].trace)
-                << "flit trace digest";
-        }
+TEST(Golden, CheckpointDigestsMatchCorpus)
+{
+    const std::string path = testing::TempDir() + "hrsim_golden_" +
+                             std::to_string(::getpid()) + ".ckpt";
+    std::vector<GoldenEntry> got;
+    for (auto [name, cfg] : goldenGrid()) {
+        if (cfg.kind == NetworkKind::HierarchicalRing && cfg.ringSlotted)
+            continue; // the slotted ring does not checkpoint
+        cfg.ckpt.savePath = path;
+        cfg.ckpt.saveAt = kPinnedSaveCycle;
+        System system(cfg);
+        const RunResult result = system.run();
+        std::ifstream in(path, std::ios::binary);
+        const std::string file((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        std::remove(path.c_str());
+        ASSERT_FALSE(file.empty()) << name << ": no checkpoint written";
+        CkptWriter bytes;
+        saveRunResult(bytes, result);
+        got.push_back(
+            {name, hex(fnv1a64(file)),
+             hex(ckptFnv1a(bytes.data().data(), bytes.size()))});
     }
+    checkCorpus(got, HRSIM_GOLDEN_CKPT_FILE, "HRSIM_GOLDEN_CKPT_OUT",
+                "<FNV-1a of the checkpoint saved at cycle 1200> | "
+                "<FNV-1a of the saveRunResult bytes>",
+                "checkpoint file digest", "saveRunResult digest");
 }
 
 } // namespace
