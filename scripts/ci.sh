@@ -2,9 +2,10 @@
 # The repository's CI pipeline, runnable locally and from any CI
 # runner. Four stages, in order of cost:
 #
-#  1. release  — Release build, the layout_smoke gate first, then the
-#                full ctest suite (unit tests, paper-conformance
-#                checks, and the script gates: metrics_schema_check,
+#  1. release  — Release build with warnings as errors (-Werror),
+#                the layout_smoke gate first, then the full ctest
+#                suite (unit tests, paper-conformance checks, and
+#                the script gates: metrics_schema_check,
 #                docs_check, simspeed_smoke, fastpath_smoke,
 #                adaptive_smoke, fault_smoke, ckpt_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
@@ -53,7 +54,8 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|Golden|PacketTable|FlowControl|DoubleSpeed|RingNetwork|Slotted|Broadcast|MeshNetwork|MeshRouter|ActiveSetScheduler'
 
 run_release() {
-    cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release
+    cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-Werror
     cmake --build "$src/build-ci" -j "$jobs"
     # Fail fast on the bitmap scan-order invariants before the full
     # suite: a broken bitmap scan fails hundreds of downstream tests

@@ -245,8 +245,9 @@ checkCorpus(const std::vector<GoldenEntry> &got, const char *path,
         SCOPED_TRACE(got[i].name);
         EXPECT_EQ(got[i].name, want[i].name);
         EXPECT_EQ(got[i].result, want[i].result) << second;
-        if (third != nullptr)
+        if (third != nullptr) {
             EXPECT_EQ(got[i].trace, want[i].trace) << third;
+        }
     }
 }
 

@@ -158,9 +158,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4, 0),
                        ::testing::Values(32, 128)),
     [](const ::testing::TestParamInfo<MeshParam> &info) {
-        return "w" + std::to_string(std::get<0>(info.param)) + "_b" +
-               std::to_string(std::get<1>(info.param)) + "_cl" +
-               std::to_string(std::get<2>(info.param));
+        // Appended piecewise: GCC 12 misreads the inlined copies of a
+        // "literal" + std::string chain as overlapping (-Wrestrict).
+        std::string name = "w";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_b";
+        name += std::to_string(std::get<1>(info.param));
+        name += "_cl";
+        name += std::to_string(std::get<2>(info.param));
+        return name;
     });
 
 // ---------------------------------------------------------------- //

@@ -112,8 +112,9 @@ TEST(RingStructure, PmIdsFollowDfsOrder)
         for (const auto &slot : ring.slots) {
             if (slot.kind != RingSlotDesc::Kind::Nic)
                 continue;
-            if (prev >= 0)
+            if (prev >= 0) {
                 EXPECT_EQ(slot.index, prev + 1);
+            }
             prev = slot.index;
         }
     }
