@@ -9,92 +9,33 @@ namespace hrsim
 namespace
 {
 
-/** Eight bytes of magic: "hrsimck" + a format byte. */
-constexpr char ckptMagic[8] = {'h', 'r', 's', 'i', 'm', 'c', 'k', '1'};
+/** Bytes of magic at the start of every container. */
+constexpr std::size_t magicSize = 8;
 
+/** "hrsimck" + a format byte. */
+constexpr char ckptMagic[magicSize] = {'h', 'r', 's', 'i',
+                                       'm', 'c', 'k', '1'};
+
+constexpr ContainerFormat checkpointFormat{ckptMagic, "checkpoint",
+                                           "checkpoint", true};
+
+/** The header fields of a container, on write and read alike. */
+template <class Io, class Header>
 void
-writeHeaderFields(CkptWriter &w, const CheckpointHeader &header)
+ckptHeader(Io &io, Header &header, const ContainerFormat &format,
+           const std::string &path)
 {
-    w.u32(header.version);
-    w.str(header.configKey);
-    w.u64(header.cycle);
-}
-
-CheckpointHeader
-readHeaderFields(CkptReader &r)
-{
-    CheckpointHeader header;
-    header.version = r.u32();
-    header.configKey = r.str();
-    header.cycle = r.u64();
-    return header;
-}
-
-std::vector<std::uint8_t>
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw CheckpointError("checkpoint: cannot open file: " +
-                              path);
-    }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        throw CheckpointError("checkpoint: read error on file: " +
-                              path);
-    }
-    return bytes;
-}
-
-CheckpointHeader
-parseContainer(const std::string &path,
-               std::vector<std::uint8_t> bytes,
-               std::vector<std::uint8_t> *payload_out)
-{
-    if (bytes.size() < sizeof(ckptMagic) ||
-        std::memcmp(bytes.data(), ckptMagic, sizeof(ckptMagic)) !=
-            0) {
-        throw CheckpointError(
-            "checkpoint: not a hrsim checkpoint file: " + path);
-    }
-    bytes.erase(bytes.begin(), bytes.begin() + sizeof(ckptMagic));
-    CkptReader r(std::move(bytes));
-
-    CheckpointHeader header = readHeaderFields(r);
+    io.u32(header.version);
     if (header.version != ckptSchemaVersion) {
         throw CheckpointError(
-            "checkpoint: schema version " +
+            std::string(format.what) + ": schema version " +
             std::to_string(header.version) + " in " + path +
             " does not match this build's version " +
             std::to_string(ckptSchemaVersion));
     }
-
-    const std::uint64_t payload_size = r.u64();
-    if (payload_size > r.remaining()) {
-        throw CheckpointError("checkpoint: truncated payload in " +
-                              path);
-    }
-    std::vector<std::uint8_t> payload(payload_size);
-    for (std::uint64_t i = 0; i < payload_size; ++i)
-        payload[i] = r.u8();
-
-    const std::uint64_t stored_hash = r.u64();
-    const std::uint64_t hash =
-        ckptFnv1a(payload.data(), payload.size());
-    if (stored_hash != hash) {
-        throw CheckpointError(
-            "checkpoint: payload hash mismatch in " + path +
-            " (file is corrupt or was not fully written)");
-    }
-    if (!r.atEnd()) {
-        throw CheckpointError(
-            "checkpoint: trailing bytes after payload in " + path);
-    }
-    if (payload_out != nullptr)
-        *payload_out = std::move(payload);
-    return header;
+    io.str(header.configKey);
+    if (format.hasCycle)
+        io.u64(header.cycle);
 }
 
 } // namespace
@@ -111,12 +52,13 @@ ckptFnv1a(const std::uint8_t *data, std::size_t size)
 }
 
 void
-writeCheckpointFile(const std::string &path,
-                    const CheckpointHeader &header,
-                    const CkptWriter &payload)
+writeContainerFile(const std::string &path, const ContainerFormat &format,
+                   const CheckpointHeader &header,
+                   const CkptWriter &payload)
 {
+    const std::string what = format.what;
     CkptWriter container;
-    writeHeaderFields(container, header);
+    ckptHeader(container, header, format, path);
     container.u64(payload.size());
 
     const std::string tmp = path + ".tmp";
@@ -124,9 +66,9 @@ writeCheckpointFile(const std::string &path,
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
             throw CheckpointError(
-                "checkpoint: cannot open file for writing: " + tmp);
+                what + ": cannot open file for writing: " + tmp);
         }
-        out.write(ckptMagic, sizeof(ckptMagic));
+        out.write(format.magic, magicSize);
         out.write(reinterpret_cast<const char *>(
                       container.data().data()),
                   static_cast<std::streamsize>(container.size()));
@@ -141,27 +83,88 @@ writeCheckpointFile(const std::string &path,
         out.flush();
         if (!out) {
             std::remove(tmp.c_str());
-            throw CheckpointError("checkpoint: write failed: " + tmp);
+            throw CheckpointError(what + ": write failed: " + tmp);
         }
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        throw CheckpointError("checkpoint: cannot rename " + tmp +
-                              " to " + path);
+        throw CheckpointError(what + ": cannot rename " + tmp + " to " +
+                              path);
     }
+}
+
+bool
+readContainerFile(const std::string &path, const ContainerFormat &format,
+                  CheckpointHeader &header,
+                  std::vector<std::uint8_t> *payload_out)
+{
+    const std::string what = format.what;
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    if (in.bad())
+        throw CheckpointError(what + ": read error on file: " + path);
+
+    if (bytes.size() < magicSize ||
+        std::memcmp(bytes.data(), format.magic, magicSize) !=
+            0) {
+        throw CheckpointError(what + ": not a hrsim " + format.noun +
+                              " file: " + path);
+    }
+    bytes.erase(bytes.begin(), bytes.begin() + magicSize);
+    CkptReader r(std::move(bytes));
+
+    ckptHeader(r, header, format, path);
+    const std::uint64_t payload_size = r.u64();
+    if (payload_size > r.remaining())
+        throw CheckpointError(what + ": truncated payload in " + path);
+    std::vector<std::uint8_t> payload(payload_size);
+    for (std::uint64_t i = 0; i < payload_size; ++i)
+        payload[i] = r.u8();
+
+    const std::uint64_t stored_hash = r.u64();
+    if (stored_hash != ckptFnv1a(payload.data(), payload.size())) {
+        throw CheckpointError(
+            what + ": payload hash mismatch in " + path +
+            " (file is corrupt or was not fully written)");
+    }
+    if (!r.atEnd()) {
+        throw CheckpointError(what + ": trailing bytes after payload in " +
+                              path);
+    }
+    if (payload_out != nullptr)
+        *payload_out = std::move(payload);
+    return true;
+}
+
+void
+writeCheckpointFile(const std::string &path,
+                    const CheckpointHeader &header,
+                    const CkptWriter &payload)
+{
+    writeContainerFile(path, checkpointFormat, header, payload);
 }
 
 CheckpointHeader
 openCheckpointFile(const std::string &path,
                    std::vector<std::uint8_t> &payload)
 {
-    return parseContainer(path, readWholeFile(path), &payload);
+    CheckpointHeader header;
+    if (!readContainerFile(path, checkpointFormat, header, &payload))
+        throw CheckpointError("checkpoint: cannot open file: " + path);
+    return header;
 }
 
 CheckpointHeader
 peekCheckpointHeader(const std::string &path)
 {
-    return parseContainer(path, readWholeFile(path), nullptr);
+    CheckpointHeader header;
+    if (!readContainerFile(path, checkpointFormat, header, nullptr))
+        throw CheckpointError("checkpoint: cannot open file: " + path);
+    return header;
 }
 
 } // namespace hrsim

@@ -10,6 +10,29 @@
  * there is no per-field tagging — the schema version in the file
  * header is the only format escape hatch.
  *
+ * Each component names its fields once, in a layout function both
+ * directions run (`template <class Io, class Self> static void
+ * layout(Io &, Self &)`, with Self deduced const when saving). The
+ * two classes therefore offer the same field methods: the writer
+ * takes each field by value and encodes it, the reader takes it by
+ * reference and decodes into it. The direction lives here and in no
+ * component; a check a layout makes runs on save and load alike.
+ * Beyond the scalars, both classes offer:
+ *  - enumerant(v, field, last): one byte; the reader refuses a value
+ *    above @a last.
+ *  - sameU32 / sameFlag(v, what): a value the configuration fixes;
+ *    the reader refuses any other.
+ *  - seq(container, field, min_bytes, fn): u32 count, then fn(io,
+ *    element) per element; the reader checks the count against the
+ *    remaining payload first and rebuilds the container.
+ *  - fifo(queue, fn): the same bytes for a StagedFifo's visible
+ *    elements; the reader refuses more than the queue's capacity and
+ *    re-packs the queue from empty.
+ *  - state(obj, args...): a component with its own saveState() /
+ *    loadState() pair, passing @a args to either.
+ * Element functions take the element as `auto &`, so one lambda
+ * serves both directions.
+ *
  * Scalar encodings:
  *  - u8/u16/u32/u64: unsigned little-endian, the stated width.
  *  - i32/i64: two's complement cast through the unsigned encoding.
@@ -30,11 +53,13 @@
 #ifndef HRSIM_CKPT_CODEC_HH
 #define HRSIM_CKPT_CODEC_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hrsim
@@ -98,6 +123,42 @@ class CkptWriter
         u32(static_cast<std::uint32_t>(s.size()));
         buf_.insert(buf_.end(), s.begin(), s.end());
     }
+
+    /** @name Layout methods (see the file comment). */
+    /// @{
+    template <class E>
+    void
+    enumerant(E v, const char *, E)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    void sameU32(std::uint32_t v, const char *) { u32(v); }
+    void sameFlag(bool v, const char *) { boolean(v); }
+
+    template <class Seq, class Fn>
+    void
+    seq(const Seq &items, const char *, std::size_t, Fn fn)
+    {
+        u32(static_cast<std::uint32_t>(items.size()));
+        for (std::size_t i = 0; i < items.size(); ++i)
+            fn(*this, items.at(i));
+    }
+
+    template <class Fifo, class Fn>
+    void
+    fifo(const Fifo &queue, Fn fn)
+    {
+        seq(queue, nullptr, 0, fn);
+    }
+
+    template <class T, class... Args>
+    void
+    state(const T &obj, Args &&...args)
+    {
+        obj.saveState(*this, std::forward<Args>(args)...);
+    }
+    /// @}
 
     const std::vector<std::uint8_t> &data() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
@@ -216,6 +277,80 @@ class CkptReader
     bool atEnd() const { return pos_ == buf_.size(); }
     std::size_t remaining() const { return buf_.size() - pos_; }
 
+    /** @name Layout methods (see the file comment). */
+    /// @{
+    void u8(std::uint8_t &v) { v = u8(); }
+    void u16(std::uint16_t &v) { v = u16(); }
+    void u32(std::uint32_t &v) { v = u32(); }
+    void u64(std::uint64_t &v) { v = u64(); }
+    void i32(std::int32_t &v) { v = i32(); }
+    void i64(std::int64_t &v) { v = i64(); }
+    void boolean(bool &v) { v = boolean(); }
+    void f64(double &v) { v = f64(); }
+    void str(std::string &v) { v = str(); }
+
+    template <class E>
+    void
+    enumerant(E &v, const char *field, E last)
+    {
+        v = enumerant(field, last);
+    }
+
+    void
+    sameU32(std::uint32_t v, const char *what)
+    {
+        if (u32() != v)
+            throw CheckpointError(std::string("checkpoint: ") + what);
+    }
+
+    void
+    sameFlag(bool v, const char *what)
+    {
+        if (boolean() != v)
+            throw CheckpointError(std::string("checkpoint: ") + what);
+    }
+
+    template <class Seq, class Fn>
+    void
+    seq(Seq &items, const char *field, std::size_t min_bytes, Fn fn)
+    {
+        const std::uint32_t n = count(field, min_bytes);
+        items.clear();
+        items.reserve(std::max<std::size_t>(n, 1));
+        for (std::uint32_t i = 0; i < n; ++i) {
+            typename Seq::value_type elem{};
+            fn(*this, elem);
+            items.push_back(std::move(elem));
+        }
+    }
+
+    template <class Fifo, class Fn>
+    void
+    fifo(Fifo &queue, Fn fn)
+    {
+        queue.clear();
+        const std::uint32_t n = u32();
+        if (n > queue.capacity()) {
+            throw CheckpointError(
+                "checkpoint: FIFO snapshot deeper than the restoring "
+                "queue's capacity (config mismatch)");
+        }
+        for (std::uint32_t i = 0; i < n; ++i) {
+            typename Fifo::value_type elem{};
+            fn(*this, elem);
+            queue.push(elem);
+        }
+        queue.commit();
+    }
+
+    template <class T, class... Args>
+    void
+    state(T &obj, Args &&...args)
+    {
+        obj.loadState(*this, std::forward<Args>(args)...);
+    }
+    /// @}
+
   private:
     void need(std::size_t bytes) const
     {
@@ -252,9 +387,41 @@ struct CheckpointHeader
 constexpr std::uint32_t ckptSchemaVersion = 3;
 
 /**
- * Atomically write @a header + @a payload to @a path (temporary file
- * + rename). Throws CheckpointError on I/O failure.
+ * One container file format: [magic][u32 schema version][string
+ * config key][u64 save cycle, if @ref hasCycle][u64 payload size]
+ * [payload][u64 FNV-1a of the payload]. Checkpoints and the sweep
+ * journal's result files (ckpt/result_io.hh) differ only in these
+ * fields.
  */
+struct ContainerFormat
+{
+    const char *magic; //!< eight bytes
+    const char *what;  //!< error prefix: "checkpoint", "sweep journal"
+    const char *noun;  //!< as in "not a hrsim <noun> file"
+    bool hasCycle;
+};
+
+/**
+ * Atomically write @a header + @a payload to @a path in @a format
+ * (temporary file + rename). Throws CheckpointError on I/O failure.
+ */
+void writeContainerFile(const std::string &path,
+                        const ContainerFormat &format,
+                        const CheckpointHeader &header,
+                        const CkptWriter &payload);
+
+/**
+ * Read and validate a container in @a format: magic, schema version
+ * and payload hash. Returns false when @a path cannot be opened;
+ * otherwise fills @a header and, unless null, @a payload with the
+ * verified payload bytes. Throws CheckpointError on anything else.
+ */
+bool readContainerFile(const std::string &path,
+                       const ContainerFormat &format,
+                       CheckpointHeader &header,
+                       std::vector<std::uint8_t> *payload);
+
+/** writeContainerFile() in the checkpoint format. */
 void writeCheckpointFile(const std::string &path,
                          const CheckpointHeader &header,
                          const CkptWriter &payload);

@@ -29,17 +29,47 @@
 namespace hrsim
 {
 
-/** Encode a sorted registry materialization (count + samples). */
-void saveMetricSamples(CkptWriter &w,
-                       const std::vector<MetricSample> &samples);
-void loadMetricSamples(CkptReader &r,
-                       std::vector<MetricSample> &samples);
+/** A sorted registry materialization (count + samples). */
+template <class Io, class Samples>
+void
+ckptMetricSamples(Io &io, Samples &samples)
+{
+    // name length + kind + value + count
+    io.seq(samples, "metric sample", 4 + 1 + 8 + 8,
+           [](auto &io_, auto &sample) {
+               io_.str(sample.name);
+               io_.enumerant(sample.kind, "metric kind",
+                             MetricKind::Gauge);
+               io_.f64(sample.value);
+               io_.u64(sample.count);
+           });
+}
 
-/** Encode mid-run snapshots (count + {cycle, samples}). */
-void saveMetricSnapshots(CkptWriter &w,
-                         const std::vector<MetricSnapshot> &snapshots);
-void loadMetricSnapshots(CkptReader &r,
-                         std::vector<MetricSnapshot> &snapshots);
+/** Mid-run snapshots (count + {cycle, samples}). */
+template <class Io, class Snapshots>
+void
+ckptMetricSnapshots(Io &io, Snapshots &snapshots)
+{
+    // cycle + sample count
+    io.seq(snapshots, "metric snapshot", 8 + 4,
+           [](auto &io_, auto &snap) {
+               io_.u64(snap.cycle);
+               ckptMetricSamples(io_, snap.metrics);
+           });
+}
+
+inline void
+loadMetricSamples(CkptReader &r, std::vector<MetricSample> &samples)
+{
+    ckptMetricSamples(r, samples);
+}
+
+inline void
+loadMetricSnapshots(CkptReader &r,
+                    std::vector<MetricSnapshot> &snapshots)
+{
+    ckptMetricSnapshots(r, snapshots);
+}
 
 /** Encode every RunResult field in a fixed documented order. */
 void saveRunResult(CkptWriter &w, const RunResult &result);

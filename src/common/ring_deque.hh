@@ -27,6 +27,8 @@ template <typename T>
 class RingDeque
 {
   public:
+    using value_type = T;
+
     RingDeque() = default;
 
     bool empty() const { return size_ == 0; }

@@ -45,9 +45,7 @@ class Rng
 
     /** Raw generator state, for checkpointing. */
     const std::array<std::uint64_t, 4> &state() const { return s_; }
-
-    /** Restore a state captured by state(). */
-    void setState(const std::array<std::uint64_t, 4> &s) { s_ = s; }
+    std::array<std::uint64_t, 4> &state() { return s_; }
 
   private:
     std::array<std::uint64_t, 4> s_;

@@ -57,6 +57,8 @@ template <typename T>
 class StagedFifo
 {
   public:
+    using value_type = T;
+
     /** Construct a FIFO holding at most @a capacity elements. */
     explicit StagedFifo(std::size_t capacity = 0)
     {

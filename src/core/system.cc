@@ -91,6 +91,8 @@ System::System(const SystemConfig &cfg)
     }
     buildNetwork();
     buildWorkload();
+    if (stopPolicy_.enabled())
+        controller_ = std::make_unique<RunController>(stopPolicy_, latency_);
 
     if (!cfg_.faultPlan.empty()) {
         if (cfg_.kind == NetworkKind::HierarchicalRing &&
@@ -494,15 +496,14 @@ System::run()
     return stopPolicy_.enabled() ? runAdaptive() : runFixed();
 }
 
-RunResult
-System::runFixed()
+void
+System::runTo(Cycle horizon)
 {
-    const Cycle end = latency_.endCycle();
     UtilizationTracker &util = network_->utilization();
-
-    while (now_ < end) {
-        fastForwardQuiescent(end);
-        if (now_ >= end)
+    const bool adaptive = stopPolicy_.enabled();
+    while (now_ < horizon) {
+        fastForwardQuiescent(horizon);
+        if (now_ >= horizon)
             break;
         // Save before the warmup check: a snapshot at the warmup
         // boundary captures the pre-measurement state, and the
@@ -516,10 +517,10 @@ System::runFixed()
                 break;
             continue;
         }
-        if (now_ == cfg_.sim.warmupCycles)
+        if (!adaptive && now_ == cfg_.sim.warmupCycles)
             util.startMeasurement(now_);
         tickOnce();
-        if (cfg_.sim.metricsEvery != 0 && now_ < end &&
+        if (cfg_.sim.metricsEvery != 0 && (adaptive || now_ < horizon) &&
             now_ % cfg_.sim.metricsEvery == 0) {
             // Snapshots are read-only: markSnapshot() provisionally
             // times the utilization window and the registry samplers
@@ -528,6 +529,14 @@ System::runFixed()
             snapshots_.push_back({now_, metrics_.snapshot()});
         }
     }
+}
+
+RunResult
+System::runFixed()
+{
+    const Cycle end = latency_.endCycle();
+    UtilizationTracker &util = network_->utilization();
+    runTo(end);
     const Cycle stop = saveStopRequested_ ? now_ : end;
     // A stop-after-save at or before the warmup boundary never opened
     // the measurement window; there is nothing to close.
@@ -573,29 +582,9 @@ System::runAdaptive()
     if (!restored_)
         util.startMeasurement(now_);
 
-    if (!controller_) {
-        controller_ =
-            std::make_unique<RunController>(stopPolicy_, latency_);
-    }
     RunController::Decision decision;
     do {
-        const Cycle checkpoint = controller_->nextCheckpoint();
-        while (now_ < checkpoint) {
-            fastForwardQuiescent(checkpoint);
-            if (now_ >= checkpoint)
-                break;
-            if (maybeSaveCheckpoint()) {
-                if (saveStopRequested_)
-                    break;
-                continue;
-            }
-            tickOnce();
-            if (cfg_.sim.metricsEvery != 0 &&
-                now_ % cfg_.sim.metricsEvery == 0) {
-                util.markSnapshot(now_);
-                snapshots_.push_back({now_, metrics_.snapshot()});
-            }
-        }
+        runTo(controller_->nextCheckpoint());
         if (saveStopRequested_)
             break;
         decision =
@@ -676,6 +665,74 @@ stripSeedField(const std::string &key)
 
 } // namespace
 
+template <class Io, class Self>
+void
+System::layout(Io &io, Self &self, Cycle cycle)
+{
+    // Payload layout (DESIGN.md section 13): simulation-core scalars,
+    // measurement machinery, scheduler bookkeeping, workload
+    // components, fault state, then the network. The order is frozen
+    // by ckptSchemaVersion — extend only by bumping it.
+    io.u64(self.now_);
+    if (self.now_ != cycle) {
+        throw CheckpointError(
+            "checkpoint: header and payload disagree on the save "
+            "cycle (corrupt file)");
+    }
+    io.u64(self.lastProgress_);
+    io.u64(self.lastActivity_);
+    io.u64(self.skippedCycles_);
+    io.enumerant(self.stopReason_, "stop reason", StopReason::Saturated);
+    ckptWorkloadCounters(io, self.counters_);
+
+    io.state(self.latency_);
+    io.state(self.histogram_);
+    io.state(self.network_->utilization());
+
+    io.sameU32(static_cast<std::uint32_t>(self.procWake_.size()),
+               "PM count mismatch (topology differs)");
+    for (auto &wake : self.procWake_)
+        io.u64(wake);
+    // activeMems_ in list order: delivery order assigned membership,
+    // and replaying it exactly keeps the memory tick order — and so
+    // every downstream packet id — identical after restore.
+    // (memActive_ is its membership flag vector, derived on load.)
+    const std::size_t pms = self.memActive_.size();
+    io.seq(self.activeMems_, "active memory", 4, [pms](auto &io_, auto &pm) {
+        io_.i32(pm);
+        if (pm < 0 || static_cast<std::size_t>(pm) >= pms) {
+            throw CheckpointError(
+                "checkpoint: active memory id out of range");
+        }
+    });
+
+    PacketFactory::layout(io, *self.factory_);
+
+    io.sameFlag(self.controller_ != nullptr,
+                "adaptive-run mismatch (snapshot and config disagree "
+                "on adaptive run control)");
+    if (self.controller_)
+        io.state(*self.controller_);
+    ckptMetricSnapshots(io, self.snapshots_);
+
+    for (auto &processor : self.processors_)
+        io.state(*processor);
+    for (auto &memory : self.memories_)
+        io.state(*memory);
+
+    io.sameFlag(self.faults_ != nullptr,
+                "fault-plane mismatch (snapshot and config disagree on "
+                "an active fault plan)");
+    if (self.faults_) {
+        io.state(*self.faults_);
+        io.u64(self.retryCounters_.reissued);
+        io.u64(self.retryCounters_.stale);
+        io.u64(self.retryCounters_.abandoned);
+    }
+
+    io.state(*self.network_);
+}
+
 void
 System::saveCheckpoint(const std::string &path) const
 {
@@ -685,60 +742,8 @@ System::saveCheckpoint(const std::string &path) const
             "(slotted ring)");
     }
 
-    // Payload layout (DESIGN.md section 13): simulation-core scalars,
-    // measurement machinery, scheduler bookkeeping, workload
-    // components, fault state, then the network. The order is frozen
-    // by ckptSchemaVersion — extend only by bumping it.
     CkptWriter w;
-    w.u64(now_);
-    w.u64(lastProgress_);
-    w.u64(lastActivity_);
-    w.u64(skippedCycles_);
-    w.u8(static_cast<std::uint8_t>(stopReason_));
-
-    w.u64(counters_.missesGenerated);
-    w.u64(counters_.remoteIssued);
-    w.u64(counters_.remoteCompleted);
-    w.u64(counters_.localIssued);
-    w.u64(counters_.localCompleted);
-    w.u64(counters_.blockedCycles);
-
-    latency_.saveState(w);
-    histogram_.saveState(w);
-    network_->utilization().saveState(w);
-
-    w.u32(static_cast<std::uint32_t>(procWake_.size()));
-    for (const Cycle wake : procWake_)
-        w.u64(wake);
-    // activeMems_ in list order: delivery order assigned membership,
-    // and replaying it exactly keeps the memory tick order — and so
-    // every downstream packet id — identical after restore.
-    // (memActive_ is its membership flag vector, derived on load.)
-    w.u32(static_cast<std::uint32_t>(activeMems_.size()));
-    for (const NodeId pm : activeMems_)
-        w.i32(pm);
-
-    w.u64(factory_->nextId());
-
-    w.boolean(controller_ != nullptr);
-    if (controller_)
-        controller_->saveState(w);
-    saveMetricSnapshots(w, snapshots_);
-
-    for (const auto &processor : processors_)
-        processor->saveState(w);
-    for (const auto &memory : memories_)
-        memory->saveState(w);
-
-    w.boolean(faults_ != nullptr);
-    if (faults_) {
-        faults_->saveState(w);
-        w.u64(retryCounters_.reissued);
-        w.u64(retryCounters_.stale);
-        w.u64(retryCounters_.abandoned);
-    }
-
-    network_->saveState(w);
+    layout(w, *this, now_);
 
     CheckpointHeader header;
     header.version = ckptSchemaVersion;
@@ -772,88 +777,16 @@ System::restoreCheckpoint(const std::string &path)
     }
 
     CkptReader r(std::move(payload));
-
-    now_ = r.u64();
-    if (now_ != header.cycle) {
-        throw CheckpointError(
-            "checkpoint: header and payload disagree on the save "
-            "cycle (corrupt file)");
-    }
-    lastProgress_ = r.u64();
-    lastActivity_ = r.u64();
-    skippedCycles_ = r.u64();
-    stopReason_ = r.enumerant("stop reason", StopReason::Saturated);
-
-    counters_.missesGenerated = r.u64();
-    counters_.remoteIssued = r.u64();
-    counters_.remoteCompleted = r.u64();
-    counters_.localIssued = r.u64();
-    counters_.localCompleted = r.u64();
-    counters_.blockedCycles = r.u64();
-
-    latency_.loadState(r);
-    histogram_.loadState(r);
-    network_->utilization().loadState(r);
-
-    const std::uint32_t pms = r.u32();
-    if (pms != procWake_.size()) {
-        throw CheckpointError(
-            "checkpoint: PM count mismatch (topology differs)");
-    }
-    for (Cycle &wake : procWake_)
-        wake = r.u64();
-    activeMems_.clear();
-    std::fill(memActive_.begin(), memActive_.end(), 0);
-    const std::uint32_t mems = r.u32();
-    for (std::uint32_t i = 0; i < mems; ++i) {
-        const NodeId pm = r.i32();
-        if (pm < 0 ||
-            static_cast<std::size_t>(pm) >= memActive_.size()) {
-            throw CheckpointError(
-                "checkpoint: active memory id out of range");
-        }
-        activeMems_.push_back(pm);
-        memActive_[static_cast<std::size_t>(pm)] = 1;
-    }
-
-    factory_->setNextId(r.u64());
-
-    if (r.boolean()) {
-        if (!stopPolicy_.enabled()) {
-            throw CheckpointError(
-                "checkpoint: adaptive-run snapshot restored into a "
-                "fixed-length config");
-        }
-        controller_ =
-            std::make_unique<RunController>(stopPolicy_, latency_);
-        controller_->loadState(r);
-    }
-    loadMetricSnapshots(r, snapshots_);
-
-    for (auto &processor : processors_)
-        processor->loadState(r);
-    for (auto &memory : memories_)
-        memory->loadState(r);
-
-    const bool has_faults = r.boolean();
-    if (has_faults != (faults_ != nullptr)) {
-        throw CheckpointError(
-            "checkpoint: fault-plane mismatch (snapshot and config "
-            "disagree on an active fault plan)");
-    }
-    if (faults_) {
-        faults_->loadState(r);
-        retryCounters_.reissued = r.u64();
-        retryCounters_.stale = r.u64();
-        retryCounters_.abandoned = r.u64();
-    }
-
-    network_->loadState(r);
+    layout(r, *this, header.cycle);
     if (!r.atEnd()) {
         throw CheckpointError(
             "checkpoint: trailing bytes after the payload (schema "
             "mismatch)");
     }
+    // The membership flags are derived from the active list.
+    std::fill(memActive_.begin(), memActive_.end(), 0);
+    for (const NodeId pm : activeMems_)
+        memActive_[static_cast<std::size_t>(pm)] = 1;
 
     restored_ = true;
 

@@ -318,10 +318,30 @@ class System
     bool restored() const { return restored_; }
 
   private:
+    /**
+     * The one checkpoint payload field list saveCheckpoint() and
+     * restoreCheckpoint() both run; @a cycle is the header's save
+     * cycle, which the payload must repeat.
+     */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self, Cycle cycle);
+
     void buildNetwork();
     void buildWorkload();
     void registerSystemMetrics();
     void tickOnce();
+
+    /**
+     * The run loop both protocols share: tick to @a horizon (or to a
+     * stop-after-save), jumping quiescent gaps, saving due
+     * checkpoints and taking the metricsEvery snapshots. A
+     * fixed-length run also opens the measurement window at
+     * warmupCycles and takes no snapshot at @a horizon, its final
+     * cycle; an adaptive run's window is open from the start, and a
+     * horizon (a controller checkpoint) on a metricsEvery multiple
+     * still gets its snapshot.
+     */
+    void runTo(Cycle horizon);
 
     /** The classic fixed-length batch-means protocol. */
     RunResult runFixed();
@@ -394,8 +414,8 @@ class System
 
     // Checkpoint/restore state (src/ckpt/; DESIGN.md section 13).
     /** Adaptive-run controller; a member (not a runAdaptive() local)
-     *  so its decision history can travel in snapshots. Created by
-     *  runAdaptive() on first use or by restoreCheckpoint(). */
+     *  so its decision history can travel in snapshots. Created with
+     *  the System when stop.relHw > 0, null otherwise. */
     std::unique_ptr<RunController> controller_;
     /** Mid-run metric snapshots (SimConfig::metricsEvery); a member
      *  so a restored run's artifact reproduces the snapshots taken

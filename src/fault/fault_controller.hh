@@ -81,39 +81,30 @@ class FaultController
      * per-target depth counters travel in the network snapshot, so no
      * edge replay happens on restore.
      */
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(static_cast<std::uint64_t>(next_));
-        w.u32(active_);
-        w.u64(applied_);
-        w.u64(acct_.injectedFlits);
-        w.u64(acct_.deliveredFlits);
-        w.u64(acct_.droppedFlits);
-        w.u64(acct_.droppedWorms);
-        w.u64(acct_.poisonedWorms);
-    }
+    void saveState(CkptWriter &w) const { layout(w, *this); }
+    void loadState(CkptReader &r) { layout(r, *this); }
 
-    void
-    loadState(CkptReader &r)
+  private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void
+    layout(Io &io, Self &self)
     {
-        const std::uint64_t next = r.u64();
-        if (next > edges_.size()) {
+        io.u64(self.next_);
+        if (self.next_ > self.edges_.size()) {
             throw CheckpointError(
                 "checkpoint: fault edge cursor past the configured "
                 "plan (fault plan mismatch)");
         }
-        next_ = static_cast<std::size_t>(next);
-        active_ = r.u32();
-        applied_ = r.u64();
-        acct_.injectedFlits = r.u64();
-        acct_.deliveredFlits = r.u64();
-        acct_.droppedFlits = r.u64();
-        acct_.droppedWorms = r.u64();
-        acct_.poisonedWorms = r.u64();
+        io.u32(self.active_);
+        io.u64(self.applied_);
+        io.u64(self.acct_.injectedFlits);
+        io.u64(self.acct_.deliveredFlits);
+        io.u64(self.acct_.droppedFlits);
+        io.u64(self.acct_.droppedWorms);
+        io.u64(self.acct_.poisonedWorms);
     }
 
-  private:
     struct Edge
     {
         Cycle cycle;

@@ -271,52 +271,57 @@ MeshNetwork::setFaultAccounting(FaultAccounting *acct)
                                    acct);
 }
 
+template <class Io, class Self>
+void
+MeshNetwork::layout(Io &io, Self &self, std::vector<PacketId> &worm_ids,
+                    std::vector<std::uint32_t> &members)
+{
+    io.u32(self.satTicks_);
+    for (std::size_t id = 0; id < self.routers_.size(); ++id)
+        io.state(self.routers_[id], &worm_ids[id * NumMeshPorts]);
+    // Fault planes exist only while a plan is live; the flag guards
+    // against restoring a faulted snapshot into a fault-free config.
+    io.sameFlag(!self.faultState_.empty(),
+                "fault-plane mismatch (snapshot and config disagree on "
+                "an active fault plan)");
+    for (auto &faults : self.faultState_)
+        ckptMeshRouterFaults(io, faults);
+    // Explicit scheduler membership, in ascending id order.
+    const std::size_t routers = self.routers_.size();
+    io.seq(members, "active-set member", 4,
+           [routers](auto &io_, auto &id) {
+               io_.u32(id);
+               if (id >= routers) {
+                   throw CheckpointError(
+                       "checkpoint: active-set member out of range "
+                       "(topology mismatch)");
+               }
+           });
+}
+
 void
 MeshNetwork::saveState(CkptWriter &w) const
 {
-    w.u32(satTicks_);
-    for (const MeshRouter &router : routers_)
-        router.saveState(w);
-    // Fault planes exist only while a plan is live; the flag guards
-    // against restoring a faulted snapshot into a fault-free config.
-    w.boolean(!faultState_.empty());
-    for (const MeshRouterFaults &faults : faultState_)
-        saveMeshRouterFaults(w, faults);
-    // Explicit scheduler membership, in ascending id order.
-    w.u32(static_cast<std::uint32_t>(activeMask_.size()));
-    activeMask_.forEach([&w](std::uint32_t id) { w.u32(id); });
+    std::vector<PacketId> worm_ids(routers_.size() * NumMeshPorts);
+    std::vector<std::uint32_t> members;
+    activeMask_.forEach(
+        [&members](std::uint32_t id) { members.push_back(id); });
+    layout(w, *this, worm_ids, members);
 }
 
 void
 MeshNetwork::loadState(CkptReader &r)
 {
-    satTicks_ = r.u32();
     packets_.beginLoad(numProcessors());
     std::vector<PacketId> worm_ids(routers_.size() * NumMeshPorts);
-    for (std::size_t id = 0; id < routers_.size(); ++id)
-        routers_[id].loadState(r, &worm_ids[id * NumMeshPorts]);
+    std::vector<std::uint32_t> members;
+    layout(r, *this, worm_ids, members);
     for (std::size_t id = 0; id < routers_.size(); ++id)
         routers_[id].bindLoadedWorms(&worm_ids[id * NumMeshPorts]);
     packets_.endLoad();
-    const bool has_faults = r.boolean();
-    if (has_faults != !faultState_.empty()) {
-        throw CheckpointError(
-            "checkpoint: fault-plane mismatch (snapshot and config "
-            "disagree on an active fault plan)");
-    }
-    for (MeshRouterFaults &faults : faultState_)
-        loadMeshRouterFaults(r, faults);
-    const std::uint32_t members = r.u32();
     activeMask_.reset(routers_.size());
-    for (std::uint32_t i = 0; i < members; ++i) {
-        const std::uint32_t id = r.u32();
-        if (id >= routers_.size()) {
-            throw CheckpointError(
-                "checkpoint: active-set member out of range "
-                "(topology mismatch)");
-        }
+    for (const std::uint32_t id : members)
         activeMask_.add(id);
-    }
 }
 
 MeshRouter &

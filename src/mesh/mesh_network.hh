@@ -91,6 +91,16 @@ class MeshNetwork : public Network
     MeshRouter &router(NodeId id);
 
   private:
+    /**
+     * The one field list saveState() and loadState() both run.
+     * @a worm_ids holds every router's NumMeshPorts held-worm ids
+     * (MeshRouter::saveState) and @a members the awake router ids in
+     * ascending order.
+     */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self, std::vector<PacketId> &worm_ids,
+                       std::vector<std::uint32_t> &members);
+
     Params params_;
     std::uint32_t clFlits_;
     std::uint32_t bufferFlits_;

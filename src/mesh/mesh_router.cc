@@ -418,56 +418,52 @@ MeshRouter::flitCount() const
     return count;
 }
 
+template <class Io, class Self>
 void
-MeshRouter::saveState(CkptWriter &w) const
+MeshRouter::layout(Io &io, Self &self, PacketId *worm_ids)
 {
-    for (const auto &buf : inBuf_)
-        saveFlitFifo(w, buf, *packets_);
-    saveFlitFifo(w, outResp_, *packets_);
-    saveFlitFifo(w, outReq_, *packets_);
-    w.u8(static_cast<std::uint8_t>(localSrc_));
-    for (const int bound : inputBound_)
-        w.i32(bound);
-    for (const Output &port : out_) {
-        w.i32(port.owner);
-        w.u64(port.owner == -1 ? 0 : packets_->id(port.wormSlot));
-        w.i32(port.rrPtr);
+    for (auto &buf : self.inBuf_)
+        ckptFlitFifo(io, buf, *self.packets_);
+    ckptFlitFifo(io, self.outResp_, *self.packets_);
+    ckptFlitFifo(io, self.outReq_, *self.packets_);
+    io.enumerant(self.localSrc_, "mesh local source", LocalSrc::Req);
+    for (auto &bound : self.inputBound_)
+        io.i32(bound);
+    for (std::size_t out = 0; out < NumMeshPorts; ++out) {
+        io.i32(self.out_[out].owner);
+        io.u64(worm_ids[out]);
+        io.i32(self.out_[out].rrPtr);
     }
-    w.u8(boundMask_);
-    w.u8(ownedMask_);
-    w.u64(streamedFlits_);
-    w.boolean(changed_);
-    w.boolean(poked_);
+    io.u8(self.boundMask_);
+    io.u8(self.ownedMask_);
+    io.u64(self.streamedFlits_);
+    io.boolean(self.changed_);
+    io.boolean(self.poked_);
+}
+
+void
+MeshRouter::saveState(CkptWriter &w, PacketId *worm_ids) const
+{
+    for (std::size_t out = 0; out < NumMeshPorts; ++out) {
+        const Output &port = out_[out];
+        worm_ids[out] =
+            port.owner == -1 ? 0 : packets_->id(port.wormSlot);
+    }
+    layout(w, *this, worm_ids);
 }
 
 void
 MeshRouter::loadState(CkptReader &r, PacketId *worm_ids)
 {
-    for (auto &buf : inBuf_)
-        loadFlitFifo(r, buf, *packets_);
-    loadFlitFifo(r, outResp_, *packets_);
-    loadFlitFifo(r, outReq_, *packets_);
-    localSrc_ = r.enumerant("mesh local source", LocalSrc::Req);
-    for (int &bound : inputBound_)
-        bound = r.i32();
-    for (std::size_t out = 0; out < NumMeshPorts; ++out) {
-        Output &port = out_[out];
-        port.owner = r.i32();
-        worm_ids[out] = r.u64();
-        port.wormSlot = 0;
-        port.rrPtr = r.i32();
-    }
-    boundMask_ = r.u8();
-    ownedMask_ = r.u8();
-    streamedFlits_ = r.u64();
-    changed_ = r.boolean();
-    poked_ = r.boolean();
+    layout(r, *this, worm_ids);
     checkLoadedPorts();
     // Rebuild the derived per-grant caches (grantOutput()'s recipe):
     // the source queue and credit-wake target are fixed for the
     // worm's lifetime, so they follow directly from the owner input.
+    // bindLoadedWorms() sets the worm slots.
     for (std::size_t out = 0; out < NumMeshPorts; ++out) {
         Output &port = out_[out];
+        port.wormSlot = 0;
         port.src = nullptr;
         port.srcUpstream = nullptr;
         if (port.owner != -1)

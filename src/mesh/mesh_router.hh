@@ -112,35 +112,20 @@ struct MeshRouterFaults
  *  redundant with the FaultController's applied-event replay but the
  *  kill/poison drain machines are not — a worm half-drained into a
  *  dead link must resume draining after restore. */
-inline void
-saveMeshRouterFaults(CkptWriter &w, const MeshRouterFaults &f)
+template <class Io, class Faults>
+void
+ckptMeshRouterFaults(Io &io, Faults &f)
 {
     for (std::size_t p = 0; p < 4; ++p) {
-        w.u8(f.portDown[p]);
-        w.u8(f.portCorrupt[p]);
+        io.u8(f.portDown[p]);
+        io.u8(f.portCorrupt[p]);
     }
-    w.u8(f.stalled);
-    for (const MeshRouterFaults::OutKill &kill : f.out) {
-        w.boolean(kill.killing);
-        w.boolean(kill.decided);
-        w.boolean(kill.terminator);
-        w.boolean(kill.poisoning);
-    }
-}
-
-inline void
-loadMeshRouterFaults(CkptReader &r, MeshRouterFaults &f)
-{
-    for (std::size_t p = 0; p < 4; ++p) {
-        f.portDown[p] = r.u8();
-        f.portCorrupt[p] = r.u8();
-    }
-    f.stalled = r.u8();
-    for (MeshRouterFaults::OutKill &kill : f.out) {
-        kill.killing = r.boolean();
-        kill.decided = r.boolean();
-        kill.terminator = r.boolean();
-        kill.poisoning = r.boolean();
+    io.u8(f.stalled);
+    for (auto &kill : f.out) {
+        io.boolean(kill.killing);
+        io.boolean(kill.decided);
+        io.boolean(kill.terminator);
+        io.boolean(kill.poisoning);
     }
 }
 
@@ -309,17 +294,23 @@ class MeshRouter
      * derived; loadState() range-checks the binding state against
      * this router's wiring, then rebuilds them with grantOutput()'s
      * recipe.
-     * A granted port is saved by its worm's packet id; loadState()
-     * leaves those ids in @a worm_ids (NumMeshPorts entries) and
-     * bindLoadedWorms() turns them into slots once every router's
-     * flits are interned (a starved worm's flits sit upstream), then
-     * refuses queue fronts the next evaluate would assert on.
+     * A granted port is saved by its worm's packet id, which both
+     * pass through @a worm_ids (NumMeshPorts entries): saveState()
+     * fills them from the granted slots, loadState() leaves them
+     * there, and bindLoadedWorms() turns them into slots once every
+     * router's flits are interned (a starved worm's flits sit
+     * upstream), then refuses queue fronts the next evaluate would
+     * assert on.
      */
-    void saveState(CkptWriter &w) const;
+    void saveState(CkptWriter &w, PacketId *worm_ids) const;
     void loadState(CkptReader &r, PacketId *worm_ids);
     void bindLoadedWorms(const PacketId *worm_ids);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self, PacketId *worm_ids);
+
     /** Mask-driven evaluate: LUT routing, ctz port iteration. */
     void evaluatePorts(Cycle now);
 

@@ -66,11 +66,13 @@ class PacketFactory
         return spec_.cacheLineFlits(cacheLineBytes_);
     }
 
-    /** Next id to be assigned, for checkpointing. */
-    PacketId nextId() const { return nextId_; }
-
-    /** Restore the id cursor captured by nextId(). */
-    void setNextId(PacketId id) { nextId_ = id; }
+    /** Checkpoint the next id to be assigned (the only state). */
+    template <class Io, class Self>
+    static void
+    layout(Io &io, Self &self)
+    {
+        io.u64(self.nextId_);
+    }
 
   private:
     ChannelSpec spec_;

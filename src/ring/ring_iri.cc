@@ -12,9 +12,9 @@ IriHalf::IriHalf(bool upper, NodeId subtree_lo, NodeId subtree_hi,
                  PacketTable *packets, StagedFifo<Flit> &divert_resp,
                  StagedFifo<Flit> &divert_req,
                  StagedFifo<Flit> &drain_resp,
-                 StagedFifo<Flit> &drain_req)
+                 StagedFifo<Flit> &drain_req, IriCounters &counters)
     : upper_(upper), subtreeLo_(subtree_lo), subtreeHi_(subtree_hi),
-      waitLimit_(wait_limit), packets_(packets),
+      waitLimit_(wait_limit), packets_(packets), counters_(counters),
       divertResp_(divert_resp), divertReq_(divert_req),
       ringSource_(side_), drainResp_(drain_resp), drainReq_(drain_req)
 {
@@ -49,12 +49,12 @@ IriHalf::route(const Flit &flit)
     if (wait_.packet != pkt)
         wait_ = WaitState{pkt, 0};
     ++wait_.cycles;
-    ++waitCycles_;
+    ++counters_.waitCycles;
     if (wait_.cycles > waitLimit_) {
         memo_ = RouteMemo{pkt, flit.slot, true, WormRoute::Continue};
         wait_ = WaitState{};
         escaped_ = pkt;
-        ++escapes_;
+        ++counters_.escapes;
         return WormRoute::Continue;
     }
     return WormRoute::Wait;
@@ -178,9 +178,9 @@ RingIri::RingIri(NodeId subtree_lo, NodeId subtree_hi,
                  std::uint32_t cl_flits, std::uint32_t wait_limit,
                  PacketTable *packets, std::uint32_t queue_packets)
     : lower_(false, subtree_lo, subtree_hi, cl_flits, wait_limit,
-             packets, upResp_, upReq_, downResp_, downReq_),
+             packets, upResp_, upReq_, downResp_, downReq_, counters_),
       upper_(true, subtree_lo, subtree_hi, cl_flits, wait_limit,
-             packets, downResp_, downReq_, upResp_, upReq_),
+             packets, downResp_, downReq_, upResp_, upReq_, counters_),
       packets_(packets)
 {
     HRSIM_ASSERT(subtree_lo < subtree_hi && packets != nullptr);
@@ -192,55 +192,41 @@ RingIri::RingIri(NodeId subtree_lo, NodeId subtree_hi,
     downReq_.setCapacity(queue_flits);
 }
 
+template <class Io, class Self>
+void
+RingIri::layout(Io &io, Self &self)
+{
+    for (auto *half : {&self.lower_, &self.upper_}) {
+        io.u64(half->memo_.packet);
+        io.boolean(half->memo_.valid);
+        io.enumerant(half->memo_.route, "IRI worm route", WormRoute::Wait);
+    }
+    for (auto *half : {&self.lower_, &self.upper_}) {
+        io.u64(half->wait_.packet);
+        io.u32(half->wait_.cycles);
+    }
+    io.u64(self.lower_.escaped_);
+    io.u64(self.upper_.escaped_);
+    io.u64(self.counters_.waitCycles);
+    io.u64(self.counters_.escapes);
+    RingSide::layout(io, self.lower_.side_, *self.packets_);
+    RingSide::layout(io, self.upper_.side_, *self.packets_);
+    ckptFlitFifo(io, self.upResp_, *self.packets_);
+    ckptFlitFifo(io, self.upReq_, *self.packets_);
+    ckptFlitFifo(io, self.downResp_, *self.packets_);
+    ckptFlitFifo(io, self.downReq_, *self.packets_);
+}
+
 void
 RingIri::saveState(CkptWriter &w) const
 {
-    for (const IriHalf *half : {&lower_, &upper_}) {
-        w.u64(half->memo_.packet);
-        w.boolean(half->memo_.valid);
-        w.u8(static_cast<std::uint8_t>(half->memo_.route));
-    }
-    for (const IriHalf *half : {&lower_, &upper_}) {
-        w.u64(half->wait_.packet);
-        w.u32(half->wait_.cycles);
-    }
-    w.u64(lower_.escaped_);
-    w.u64(upper_.escaped_);
-    w.u64(waitCycles());
-    w.u64(escapes());
-    lower_.side_.saveState(w, *packets_);
-    upper_.side_.saveState(w, *packets_);
-    saveFlitFifo(w, upResp_, *packets_);
-    saveFlitFifo(w, upReq_, *packets_);
-    saveFlitFifo(w, downResp_, *packets_);
-    saveFlitFifo(w, downReq_, *packets_);
+    layout(w, *this);
 }
 
 void
 RingIri::loadState(CkptReader &r)
 {
-    for (IriHalf *half : {&lower_, &upper_}) {
-        half->memo_.packet = r.u64();
-        half->memo_.valid = r.boolean();
-        half->memo_.route =
-            r.enumerant("IRI worm route", WormRoute::Wait);
-    }
-    for (IriHalf *half : {&lower_, &upper_}) {
-        half->wait_.packet = r.u64();
-        half->wait_.cycles = r.u32();
-    }
-    lower_.escaped_ = r.u64();
-    upper_.escaped_ = r.u64();
-    lower_.waitCycles_ = r.u64();
-    lower_.escapes_ = r.u64();
-    upper_.waitCycles_ = 0;
-    upper_.escapes_ = 0;
-    lower_.side_.loadState(r, *packets_);
-    upper_.side_.loadState(r, *packets_);
-    loadFlitFifo(r, upResp_, *packets_);
-    loadFlitFifo(r, upReq_, *packets_);
-    loadFlitFifo(r, downResp_, *packets_);
-    loadFlitFifo(r, downReq_, *packets_);
+    layout(r, *this);
 }
 
 void

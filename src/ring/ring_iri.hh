@@ -54,6 +54,15 @@ enum class WormRoute : std::uint8_t
     Wait,       //!< queue full: hold the latch and retry
 };
 
+/** Wait and escape counts of one IRI, which both its halves add to. */
+struct IriCounters
+{
+    /** Cumulative cycles worms spent blocked on full queues. */
+    std::uint64_t waitCycles = 0;
+    /** Recirculation-escape laps taken. */
+    std::uint64_t escapes = 0;
+};
+
 /**
  * One side of an IRI: the ring attachment point on the lower or the
  * upper ring, the two transfer queues it diverts ring-changing worms
@@ -69,12 +78,13 @@ class IriHalf
      *        ring-changing responses / requests into.
      * @param drain_resp / @p drain_req Queues this side's output
      *        drains, after same-ring transit.
+     * @param counters The IRI's wait and escape counts.
      */
     IriHalf(bool upper, NodeId subtree_lo, NodeId subtree_hi,
             std::uint32_t cl_flits, std::uint32_t wait_limit,
             PacketTable *packets, StagedFifo<Flit> &divert_resp,
             StagedFifo<Flit> &divert_req, StagedFifo<Flit> &drain_resp,
-            StagedFifo<Flit> &drain_req);
+            StagedFifo<Flit> &drain_req, IriCounters &counters);
 
     IriHalf(const IriHalf &) = delete;
     IriHalf &operator=(const IriHalf &) = delete;
@@ -157,9 +167,6 @@ class IriHalf
      */
     void checkLoadedFronts(const std::string &who) const;
 
-    std::uint64_t waitCycles() const { return waitCycles_; }
-    std::uint64_t escapes() const { return escapes_; }
-
   private:
     friend class RingIri;
 
@@ -215,8 +222,7 @@ class IriHalf
     WaitState wait_;
     /** Head currently committed to an escape lap (0 = none). */
     PacketId escaped_ = 0;
-    std::uint64_t waitCycles_ = 0;
-    std::uint64_t escapes_ = 0;
+    IriCounters &counters_;
 
     RingSide side_;
     StagedFifo<Flit> &divertResp_;
@@ -280,11 +286,9 @@ class RingIri
 
     /**
      * Checkpoint hooks (tick boundary): both sides, the four transfer
-     * queues, and the per-side routing memos / wait / escape state —
-     * a worm mid-divert or mid-escape must resume its decision, not
-     * re-route. The wait and escape counters are saved as the IRI's
-     * totals (its only metrics), and a load credits them to the
-     * lower side.
+     * queues, the per-side routing memos / wait / escape state — a
+     * worm mid-divert or mid-escape must resume its decision, not
+     * re-route — and the IRI's wait and escape counts.
      */
     void saveState(CkptWriter &w) const;
     void loadState(CkptReader &r);
@@ -338,21 +342,18 @@ class RingIri
     void debugDump(std::ostream &out) const;
 
     /** Cumulative cycles worms spent blocked on full queues. */
-    std::uint64_t
-    waitCycles() const
-    {
-        return lower_.waitCycles() + upper_.waitCycles();
-    }
+    std::uint64_t waitCycles() const { return counters_.waitCycles; }
 
     /** Recirculation-escape laps taken. */
-    std::uint64_t
-    escapes() const
-    {
-        return lower_.escapes() + upper_.escapes();
-    }
+    std::uint64_t escapes() const { return counters_.escapes; }
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     // Declared before the halves, which hold references to them.
+    IriCounters counters_;
     StagedFifo<Flit> upResp_;
     StagedFifo<Flit> upReq_;
     StagedFifo<Flit> downResp_;

@@ -401,40 +401,40 @@ RingNetwork::registerMetrics(MetricRegistry &registry) const
                         [this]() { return totalEscapes(); });
 }
 
+template <class Io, class Self>
 void
-RingNetwork::saveState(CkptWriter &w) const
+RingNetwork::layout(Io &io, Self &self)
 {
     // Only the occupied count is simulation state; capacity, bubble,
     // and the down-phase reserve are derived from the topology.
-    w.u32(static_cast<std::uint32_t>(occupancy_.size()));
-    for (const RingOccupancy &occ : occupancy_)
-        w.i64(occ.occupied);
-    for (const RingNic &nic : nics_)
-        nic.saveState(w);
-    for (const RingIri &iri : iris_)
-        iri.saveState(w);
+    io.sameU32(static_cast<std::uint32_t>(self.occupancy_.size()),
+               "ring count mismatch (topology differs)");
+    for (auto &occ : self.occupancy_)
+        io.i64(occ.occupied);
+    for (auto &nic : self.nics_)
+        io.state(nic);
+    for (auto &iri : self.iris_)
+        io.state(iri);
     // Fault planes exist only while a plan is live; the flag guards
     // against restoring a faulted snapshot into a fault-free config.
-    w.boolean(!sideFaults_.empty());
-    for (const RingSideFaults &faults : sideFaults_)
-        saveRingSideFaults(w, faults);
+    io.sameFlag(!self.sideFaults_.empty(),
+                "fault-plane mismatch (snapshot and config disagree on "
+                "an active fault plan)");
+    for (auto &faults : self.sideFaults_)
+        ckptRingSideFaults(io, faults);
+}
+
+void
+RingNetwork::saveState(CkptWriter &w) const
+{
+    layout(w, *this);
 }
 
 void
 RingNetwork::loadState(CkptReader &r)
 {
-    const std::uint32_t rings = r.u32();
-    if (rings != occupancy_.size()) {
-        throw CheckpointError(
-            "checkpoint: ring count mismatch (topology differs)");
-    }
-    for (RingOccupancy &occ : occupancy_)
-        occ.occupied = r.i64();
     packets_.beginLoad(numProcessors());
-    for (RingNic &nic : nics_)
-        nic.loadState(r);
-    for (RingIri &iri : iris_)
-        iri.loadState(r);
+    layout(r, *this);
     for (RingNic &nic : nics_)
         nic.side().out.bindLoadedWorm();
     for (RingIri &iri : iris_) {
@@ -442,14 +442,6 @@ RingNetwork::loadState(CkptReader &r)
         iri.upper().bindLoadedWorms();
     }
     packets_.endLoad();
-    const bool has_faults = r.boolean();
-    if (has_faults != !sideFaults_.empty()) {
-        throw CheckpointError(
-            "checkpoint: fault-plane mismatch (snapshot and config "
-            "disagree on an active fault plan)");
-    }
-    for (RingSideFaults &faults : sideFaults_)
-        loadRingSideFaults(r, faults);
     // Worm shape, once the kill state that exempts a drained source
     // is in.
     for (const RingNic &nic : nics_)

@@ -119,6 +119,10 @@ class RingNetwork : public Network
     std::uint64_t totalEscapes() const;
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     /** The side occupying a slot of a ring. */
     RingSide &sideAt(const RingSlotDesc &slot);
 

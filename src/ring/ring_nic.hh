@@ -82,21 +82,8 @@ class RingNic
      * scratch — set and consumed inside evaluate() — so it has no
      * boundary state to save.
      */
-    void
-    saveState(CkptWriter &w) const
-    {
-        side_.saveState(w, *packets_);
-        saveFlitFifo(w, outResp_, *packets_);
-        saveFlitFifo(w, outReq_, *packets_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        side_.loadState(r, *packets_);
-        loadFlitFifo(r, outResp_, *packets_);
-        loadFlitFifo(r, outReq_, *packets_);
-    }
+    void saveState(CkptWriter &w) const { layout(w, *this); }
+    void loadState(CkptReader &r) { layout(r, *this); }
 
     /**
      * After the whole network is loaded: refuse a worm shape the
@@ -173,6 +160,16 @@ class RingNic
     void debugDump(std::ostream &out) const;
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void
+    layout(Io &io, Self &self)
+    {
+        RingSide::layout(io, self.side_, *self.packets_);
+        ckptFlitFifo(io, self.outResp_, *self.packets_);
+        ckptFlitFifo(io, self.outReq_, *self.packets_);
+    }
+
     /** Is @a flit ring transit (not destined for this PM)? */
     bool isTransit(const Flit &flit) const { return flit.dst != pm_; }
 

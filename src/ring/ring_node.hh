@@ -125,21 +125,15 @@ struct FlitSlot
     void reset() { full = false; }
 };
 
-/** Checkpoint a maybe-occupied slot: tag byte + flit when full. */
-inline void
-saveFlitSlot(CkptWriter &w, const FlitSlot &slot,
-             const PacketTable &table)
+/** Checkpoint a maybe-occupied slot: tag byte + flit when full. An
+ *  empty slot's flit is never read, so it is not restored. */
+template <class Io, class Slot>
+void
+ckptFlitSlot(Io &io, Slot &slot, PacketTable &table)
 {
-    w.boolean(slot.full);
+    io.boolean(slot.full);
     if (slot.full)
-        saveFlit(w, slot.flit, table);
-}
-
-inline void
-loadFlitSlot(CkptReader &r, FlitSlot &slot, PacketTable &table)
-{
-    slot.full = r.boolean();
-    slot.flit = slot.full ? loadFlit(r, table) : Flit{};
+        ckptFlit(io, slot.flit, table);
 }
 
 /** Single-flit input register with two-phase commit. */
@@ -206,30 +200,18 @@ struct RingSideFaults
  *  are redundant with the FaultController's applied-event replay but
  *  the kill/poison drain state is not — a worm half-drained into a
  *  dead link must resume draining after restore. */
-inline void
-saveRingSideFaults(CkptWriter &w, const RingSideFaults &f)
+template <class Io, class Faults>
+void
+ckptRingSideFaults(Io &io, Faults &f)
 {
-    w.u8(f.stalled);
-    w.u8(f.down);
-    w.u8(f.corrupt);
-    w.boolean(f.killing);
-    w.boolean(f.tokenSent);
-    w.boolean(f.releaseOnDrop);
-    w.u8(static_cast<std::uint8_t>(f.victim));
-    w.boolean(f.poisoning);
-}
-
-inline void
-loadRingSideFaults(CkptReader &r, RingSideFaults &f)
-{
-    f.stalled = r.u8();
-    f.down = r.u8();
-    f.corrupt = r.u8();
-    f.killing = r.boolean();
-    f.tokenSent = r.boolean();
-    f.releaseOnDrop = r.boolean();
-    f.victim = r.enumerant("ring fault victim", RingSource::QueueB);
-    f.poisoning = r.boolean();
+    io.u8(f.stalled);
+    io.u8(f.down);
+    io.u8(f.corrupt);
+    io.boolean(f.killing);
+    io.boolean(f.tokenSent);
+    io.boolean(f.releaseOnDrop);
+    io.enumerant(f.victim, "ring fault victim", RingSource::QueueB);
+    io.boolean(f.poisoning);
 }
 
 /**
@@ -330,27 +312,18 @@ class RingOutput
     /**
      * Checkpoint the authoritative wormhole state. Wiring (downstream
      * latch, counters, wake targets) is rebuilt from the topology at
-     * construction and never serialized.
+     * construction and never serialized, and the held worm's slot is
+     * bound after load (bindLoadedWorm()).
      */
-    void
-    saveState(CkptWriter &w) const
+    template <class Io, class Self>
+    static void
+    layout(Io &io, Self &self)
     {
-        w.u32(starve_);
-        w.u64(streamedFlits_);
-        w.boolean(inWorm_);
-        w.u8(static_cast<std::uint8_t>(wormSrc_));
-        w.u64(wormPkt_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        starve_ = r.u32();
-        streamedFlits_ = r.u64();
-        inWorm_ = r.boolean();
-        wormSrc_ = r.enumerant("ring worm source", RingSource::QueueB);
-        wormPkt_ = r.u64();
-        wormSlot_ = 0;
+        io.u32(self.starve_);
+        io.u64(self.streamedFlits_);
+        io.boolean(self.inWorm_);
+        io.enumerant(self.wormSrc_, "ring worm source", RingSource::QueueB);
+        io.u64(self.wormPkt_);
     }
 
     /**
@@ -361,6 +334,7 @@ class RingOutput
     void
     bindLoadedWorm()
     {
+        wormSlot_ = 0;
         if (!inWorm_)
             return;
         wormSlot_ = packets_->slotOf(wormPkt_);
@@ -767,22 +741,14 @@ struct RingSide
      * (commit ran) and the acceptance flag is derived — the network's
      * post-load scheduling sweep recomputes it.
      */
-    void
-    saveState(CkptWriter &w, const PacketTable &table) const
+    template <class Io, class Self>
+    static void
+    layout(Io &io, Self &self, PacketTable &table)
     {
-        HRSIM_ASSERT(!in.staged.full);
-        saveFlitSlot(w, in.cur, table);
-        saveFlitFifo(w, transitBuf, table);
-        out.saveState(w);
-    }
-
-    void
-    loadState(CkptReader &r, PacketTable &table)
-    {
-        loadFlitSlot(r, in.cur, table);
-        in.staged.reset();
-        loadFlitFifo(r, transitBuf, table);
-        out.loadState(r);
+        HRSIM_ASSERT(!self.in.staged.full);
+        ckptFlitSlot(io, self.in.cur, table);
+        ckptFlitFifo(io, self.transitBuf, table);
+        RingOutput::layout(io, self.out);
     }
 };
 

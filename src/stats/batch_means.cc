@@ -157,28 +157,28 @@ BatchMeans::batchCount(std::uint32_t batch) const
     return batches_[batch].count();
 }
 
+template <class Io, class Self>
+void
+BatchMeans::layout(Io &io, Self &self)
+{
+    // n + mean + m2 + min + max per batch
+    io.seq(self.batches_, "batch", 5 * 8,
+           [](auto &io_, auto &batch) { io_.state(batch); });
+    io.state(self.all_);
+    io.u32(self.truncFirst_);
+    io.u32(self.truncLimit_);
+}
+
 void
 BatchMeans::saveState(CkptWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(batches_.size()));
-    for (const RunningStats &batch : batches_)
-        batch.saveState(w);
-    all_.saveState(w);
-    w.u32(truncFirst_);
-    w.u32(truncLimit_);
+    layout(w, *this);
 }
 
 void
 BatchMeans::loadState(CkptReader &r)
 {
-    // n + mean + m2 + min + max per batch
-    const std::uint32_t count = r.count("batch", 5 * 8);
-    batches_.assign(count, RunningStats());
-    for (RunningStats &batch : batches_)
-        batch.loadState(r);
-    all_.loadState(r);
-    truncFirst_ = r.u32();
-    truncLimit_ = r.u32();
+    layout(r, *this);
 }
 
 } // namespace hrsim

@@ -128,6 +128,10 @@ class BatchMeans
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     BatchMeans() = default;
 
     Cycle warmupCycles_ = 0;

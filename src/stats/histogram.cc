@@ -91,26 +91,27 @@ Histogram::reset()
     count_ = 0;
 }
 
+template <class Io, class Self>
+void
+Histogram::layout(Io &io, Self &self)
+{
+    io.sameU32(static_cast<std::uint32_t>(self.counts_.size()),
+               "histogram geometry mismatch");
+    for (auto &bucket : self.counts_)
+        io.u64(bucket);
+    io.u64(self.count_);
+}
+
 void
 Histogram::saveState(CkptWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(counts_.size()));
-    for (const std::uint64_t bucket : counts_)
-        w.u64(bucket);
-    w.u64(count_);
+    layout(w, *this);
 }
 
 void
 Histogram::loadState(CkptReader &r)
 {
-    const std::uint32_t buckets = r.u32();
-    if (buckets != counts_.size()) {
-        throw CheckpointError(
-            "checkpoint: histogram geometry mismatch");
-    }
-    for (std::uint64_t &bucket : counts_)
-        bucket = r.u64();
-    count_ = r.u64();
+    layout(r, *this);
 }
 
 } // namespace hrsim

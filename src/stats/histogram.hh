@@ -55,6 +55,10 @@ class Histogram
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     std::size_t bucketOf(double value) const;
 
     /** Lower bound of bucket @a index. */

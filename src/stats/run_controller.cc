@@ -211,33 +211,31 @@ RunController::onCheckpoint(Cycle now, double occupancy)
     return decision;
 }
 
+template <class Io, class Self>
+void
+RunController::layout(Io &io, Self &self)
+{
+    // batch mean + occupancy per checkpoint
+    io.seq(self.history_, "controller checkpoint", 8 + 8,
+           [](auto &io_, auto &stats) {
+               io_.f64(stats.batchMean);
+               io_.f64(stats.occupancy);
+           });
+    io.u32(self.truncation_);
+    io.f64(self.relHw_);
+    io.boolean(self.stopped_);
+}
+
 void
 RunController::saveState(CkptWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(history_.size()));
-    for (const CheckpointStats &stats : history_) {
-        w.f64(stats.batchMean);
-        w.f64(stats.occupancy);
-    }
-    w.u32(truncation_);
-    w.f64(relHw_);
-    w.boolean(stopped_);
+    layout(w, *this);
 }
 
 void
 RunController::loadState(CkptReader &r)
 {
-    // batch mean + occupancy per checkpoint
-    const std::uint32_t checkpoints =
-        r.count("controller checkpoint", 8 + 8);
-    history_.assign(checkpoints, CheckpointStats());
-    for (CheckpointStats &stats : history_) {
-        stats.batchMean = r.f64();
-        stats.occupancy = r.f64();
-    }
-    truncation_ = r.u32();
-    relHw_ = r.f64();
-    stopped_ = r.boolean();
+    layout(r, *this);
 }
 
 } // namespace hrsim

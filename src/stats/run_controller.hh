@@ -171,6 +171,10 @@ class RunController
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     struct CheckpointStats
     {
         double batchMean = 0.0; //!< mean of the batch just closed

@@ -66,24 +66,27 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
+template <class Io, class Self>
+void
+RunningStats::layout(Io &io, Self &self)
+{
+    io.u64(self.n_);
+    io.f64(self.mean_);
+    io.f64(self.m2_);
+    io.f64(self.min_);
+    io.f64(self.max_);
+}
+
 void
 RunningStats::saveState(CkptWriter &w) const
 {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
+    layout(w, *this);
 }
 
 void
 RunningStats::loadState(CkptReader &r)
 {
-    n_ = r.u64();
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
+    layout(r, *this);
 }
 
 } // namespace hrsim

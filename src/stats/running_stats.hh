@@ -48,6 +48,10 @@ class RunningStats
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;

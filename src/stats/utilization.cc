@@ -85,32 +85,31 @@ UtilizationTracker::totalUtilization() const
            (static_cast<double>(cap) * static_cast<double>(windowCycles_));
 }
 
+template <class Io, class Self>
+void
+UtilizationTracker::layout(Io &io, Self &self)
+{
+    io.boolean(self.measuring_);
+    io.u64(self.windowStart_);
+    io.u64(self.windowCycles_);
+    io.sameU32(static_cast<std::uint32_t>(self.groupTransfers_.size()),
+               "utilization group count mismatch");
+    // Loaded in place: link outputs hold stable pointers into the
+    // counter vector.
+    for (auto &transfers : self.groupTransfers_)
+        io.u64(transfers);
+}
+
 void
 UtilizationTracker::saveState(CkptWriter &w) const
 {
-    w.boolean(measuring_);
-    w.u64(windowStart_);
-    w.u64(windowCycles_);
-    w.u32(static_cast<std::uint32_t>(groupTransfers_.size()));
-    for (const std::uint64_t transfers : groupTransfers_)
-        w.u64(transfers);
+    layout(w, *this);
 }
 
 void
 UtilizationTracker::loadState(CkptReader &r)
 {
-    measuring_ = r.boolean();
-    windowStart_ = r.u64();
-    windowCycles_ = r.u64();
-    const std::uint32_t groups = r.u32();
-    if (groups != groupTransfers_.size()) {
-        throw CheckpointError(
-            "checkpoint: utilization group count mismatch");
-    }
-    // Assigned in place: link outputs hold stable pointers into the
-    // counter vector.
-    for (auto &transfers : groupTransfers_)
-        transfers = r.u64();
+    layout(r, *this);
 }
 
 } // namespace hrsim

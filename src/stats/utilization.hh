@@ -125,6 +125,10 @@ class UtilizationTracker
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     bool measuring_ = false;
     Cycle windowStart_ = 0;
     Cycle windowCycles_ = 0;

@@ -37,32 +37,29 @@ MemoryModule::tick(Cycle now)
     }
 }
 
+template <class Io, class Self>
+void
+MemoryModule::layout(Io &io, Self &self)
+{
+    io.u64(self.busyUntil_);
+    // ready cycle + packet (id, type, src, dst, size, issue, reqId)
+    io.seq(self.pending_, "pending response",
+           8 + 8 + 1 + 4 + 4 + 4 + 8 + 8, [](auto &io_, auto &resp) {
+               io_.u64(resp.ready);
+               ckptPacket(io_, resp.response);
+           });
+}
+
 void
 MemoryModule::saveState(CkptWriter &w) const
 {
-    w.u64(busyUntil_);
-    saveFifo(w, pending_,
-             [](CkptWriter &out, const PendingResponse &resp) {
-                 out.u64(resp.ready);
-                 savePacket(out, resp.response);
-             });
+    layout(w, *this);
 }
 
 void
 MemoryModule::loadState(CkptReader &r)
 {
-    busyUntil_ = r.u64();
-    pending_.clear();
-    // ready cycle + packet (id, type, src, dst, size, issue, reqId)
-    const std::uint32_t count =
-        r.count("pending response", 8 + 8 + 1 + 4 + 4 + 4 + 8 + 8);
-    pending_.reserve(std::max<std::size_t>(count, 1));
-    for (std::uint32_t i = 0; i < count; ++i) {
-        PendingResponse resp;
-        resp.ready = r.u64();
-        resp.response = loadPacket(r);
-        pending_.push_back(resp);
-    }
+    layout(r, *this);
 }
 
 } // namespace hrsim

@@ -68,6 +68,10 @@ class MemoryModule
     void loadState(CkptReader &r);
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     struct PendingResponse
     {
         Cycle ready;

@@ -230,37 +230,13 @@ Processor::tick(Cycle now)
     }
 }
 
+template <class Io, class Self>
 void
-Processor::saveState(CkptWriter &w) const
-{
-    saveRng(w, rng_);
-    w.i32(outstanding_);
-    w.boolean(stalled_);
-    w.i32(stalledMiss_.target);
-    w.boolean(stalledMiss_.isRead);
-    w.u64(lastTick_);
-    w.u64(nextMissAt_);
-    saveFifo(w, localDue_,
-             [](CkptWriter &out, Cycle due) { out.u64(due); });
-    w.u32(static_cast<std::uint32_t>(txns_.size()));
-    for (const RemoteTxn &txn : txns_) {
-        w.i32(txn.target);
-        w.boolean(txn.isRead);
-        w.u32(txn.retries);
-        w.u64(txn.issueCycle);
-        w.u64(txn.deadline);
-        w.u32(static_cast<std::uint32_t>(txn.ids.size()));
-        for (const PacketId id : txn.ids)
-            w.u64(id);
-    }
-}
-
-void
-Processor::loadState(CkptReader &r)
+Processor::layout(Io &io, Self &self)
 {
     // Targets feed makeRequest and the network's routing tables, so
     // each must name a PM of the restoring system.
-    const int num_pms = network_.numProcessors();
+    const int num_pms = self.network_.numProcessors();
     const auto check_target = [num_pms](NodeId target,
                                         const char *what) {
         if (target < 0 || target >= num_pms) {
@@ -270,46 +246,49 @@ Processor::loadState(CkptReader &r)
                 std::to_string(num_pms - 1) + "]");
         }
     };
-    loadRng(r, rng_);
-    outstanding_ = r.i32();
-    if (outstanding_ < 0 || outstanding_ > cfg_.outstandingT) {
+    ckptRng(io, self.rng_);
+    io.i32(self.outstanding_);
+    if (self.outstanding_ < 0 ||
+        self.outstanding_ > self.cfg_.outstandingT) {
         throw CheckpointError(
             "checkpoint: processor outstanding " +
-            std::to_string(outstanding_) + " outside [0, " +
-            std::to_string(cfg_.outstandingT) + "]");
+            std::to_string(self.outstanding_) + " outside [0, " +
+            std::to_string(self.cfg_.outstandingT) + "]");
     }
-    stalled_ = r.boolean();
-    stalledMiss_.target = r.i32();
-    stalledMiss_.isRead = r.boolean();
+    io.boolean(self.stalled_);
+    io.i32(self.stalledMiss_.target);
+    io.boolean(self.stalledMiss_.isRead);
     // An unstalled generator keeps the default invalidNode target.
-    if (stalled_)
-        check_target(stalledMiss_.target, "stalled miss");
-    lastTick_ = r.u64();
-    nextMissAt_ = r.u64();
-    localDue_.clear();
-    const std::uint32_t due_count = r.count("local due cycle", 8);
-    localDue_.reserve(std::max<std::size_t>(due_count, 1));
-    for (std::uint32_t i = 0; i < due_count; ++i)
-        localDue_.push_back(r.u64());
-    txns_.clear();
+    if (self.stalled_)
+        check_target(self.stalledMiss_.target, "stalled miss");
+    io.u64(self.lastTick_);
+    io.u64(self.nextMissAt_);
+    io.seq(self.localDue_, "local due cycle", 8,
+           [](auto &io_, auto &due) { io_.u64(due); });
     // target + isRead + retries + issue + deadline + id count
-    const std::uint32_t txn_count =
-        r.count("remote transaction", 4 + 1 + 4 + 8 + 8 + 4);
-    txns_.reserve(txn_count);
-    for (std::uint32_t i = 0; i < txn_count; ++i) {
-        RemoteTxn txn;
-        txn.target = r.i32();
-        check_target(txn.target, "remote transaction");
-        txn.isRead = r.boolean();
-        txn.retries = r.u32();
-        txn.issueCycle = r.u64();
-        txn.deadline = r.u64();
-        const std::uint32_t ids = r.count("transaction id", 8);
-        txn.ids.reserve(ids);
-        for (std::uint32_t j = 0; j < ids; ++j)
-            txn.ids.push_back(r.u64());
-        txns_.push_back(std::move(txn));
-    }
+    io.seq(self.txns_, "remote transaction", 4 + 1 + 4 + 8 + 8 + 4,
+           [&check_target](auto &io_, auto &txn) {
+               io_.i32(txn.target);
+               check_target(txn.target, "remote transaction");
+               io_.boolean(txn.isRead);
+               io_.u32(txn.retries);
+               io_.u64(txn.issueCycle);
+               io_.u64(txn.deadline);
+               io_.seq(txn.ids, "transaction id", 8,
+                       [](auto &io2, auto &id) { io2.u64(id); });
+           });
+}
+
+void
+Processor::saveState(CkptWriter &w) const
+{
+    layout(w, *this);
+}
+
+void
+Processor::loadState(CkptReader &r)
+{
+    layout(r, *this);
 }
 
 void

@@ -63,6 +63,19 @@ struct WorkloadCounters
     std::uint64_t blockedCycles = 0;
 };
 
+/** Checkpoint the counters (a System snapshot and a RunResult). */
+template <class Io, class Counters>
+void
+ckptWorkloadCounters(Io &io, Counters &c)
+{
+    io.u64(c.missesGenerated);
+    io.u64(c.remoteIssued);
+    io.u64(c.remoteCompleted);
+    io.u64(c.localIssued);
+    io.u64(c.localCompleted);
+    io.u64(c.blockedCycles);
+}
+
 class Processor : public TrafficSource
 {
   public:
@@ -131,6 +144,10 @@ class Processor : public TrafficSource
     void reseed(std::uint64_t seed, Cycle now) override;
 
   private:
+    /** The one field list saveState() and loadState() both run. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self);
+
     struct PendingMiss
     {
         NodeId target;

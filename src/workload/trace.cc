@@ -218,38 +218,38 @@ TraceProcessor::tick(Cycle now)
     sleepBlocked_ = blocked();
 }
 
+template <class Io, class Self>
+void
+TraceProcessor::layout(Io &io, Self &self, std::uint32_t &remaining)
+{
+    io.u32(remaining);
+    if (remaining > self.queue_.size()) {
+        throw CheckpointError(
+            "checkpoint: trace replay cursor past the configured "
+            "trace (trace file mismatch)");
+    }
+    io.i32(self.outstanding_);
+    io.boolean(self.netBlocked_);
+    io.boolean(self.sleepBlocked_);
+    io.u64(self.lastTick_);
+    io.seq(self.localDue_, "local due cycle", 8,
+           [](auto &io_, auto &due) { io_.u64(due); });
+}
+
 void
 TraceProcessor::saveState(CkptWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(queue_.size()));
-    w.i32(outstanding_);
-    w.boolean(netBlocked_);
-    w.boolean(sleepBlocked_);
-    w.u64(lastTick_);
-    saveFifo(w, localDue_,
-             [](CkptWriter &out, Cycle due) { out.u64(due); });
+    auto remaining = static_cast<std::uint32_t>(queue_.size());
+    layout(w, *this, remaining);
 }
 
 void
 TraceProcessor::loadState(CkptReader &r)
 {
-    const std::uint32_t remaining = r.u32();
-    if (remaining > queue_.size()) {
-        throw CheckpointError(
-            "checkpoint: trace replay cursor past the configured "
-            "trace (trace file mismatch)");
-    }
+    auto remaining = static_cast<std::uint32_t>(queue_.size());
+    layout(r, *this, remaining);
     while (queue_.size() > remaining)
         queue_.pop_front();
-    outstanding_ = r.i32();
-    netBlocked_ = r.boolean();
-    sleepBlocked_ = r.boolean();
-    lastTick_ = r.u64();
-    localDue_.clear();
-    const std::uint32_t due_count = r.count("local due cycle", 8);
-    localDue_.reserve(std::max<std::size_t>(due_count, 1));
-    for (std::uint32_t i = 0; i < due_count; ++i)
-        localDue_.push_back(r.u64());
 }
 
 void

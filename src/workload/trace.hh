@@ -146,6 +146,11 @@ class TraceProcessor : public TrafficSource
     void loadState(CkptReader &r) override;
 
   private:
+    /** The one field list saveState() and loadState() both run;
+     *  @a remaining is the replay cursor. */
+    template <class Io, class Self>
+    static void layout(Io &io, Self &self, std::uint32_t &remaining);
+
     NodeId pm_;
     RingDeque<TraceRecord> queue_;
     int limit_;
