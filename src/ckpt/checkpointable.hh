@@ -19,9 +19,14 @@
  *    the ring's schedule reseed), never serialized.
  *  - saveState() is const and must not perturb the run: a run that
  *    saves a checkpoint stays bit-identical to one that does not.
- *  - Field order is fixed and symmetric: loadState() reads exactly
- *    the fields saveState() wrote, in order. There is no tagging —
- *    the container's schema version gates incompatible layouts.
+ *  - One field list per component: both hooks run the component's
+ *    `template <class Io, class Self> static void layout(Io &, Self &)`
+ *    (Self is const on save; codec.hh), so the load reads exactly
+ *    the fields the save wrote, in order, by construction. Checks in
+ *    the layout run both ways; load-only steps (re-binding worms,
+ *    rebuilding derived state) follow it in loadState(). There is no
+ *    tagging — the container's schema version gates incompatible
+ *    layouts.
  */
 
 #ifndef HRSIM_CKPT_CHECKPOINTABLE_HH
@@ -43,8 +48,8 @@ class Checkpointable
 
     /**
      * Restore state previously written by saveState(). The reader is
-     * positioned at this component's first field; implementations
-     * must consume exactly what saveState() wrote.
+     * positioned at this component's first field; the shared layout
+     * consumes exactly what saveState() wrote.
      */
     virtual void loadState(CkptReader &r) = 0;
 };

@@ -43,11 +43,11 @@
  *
  * The file container (writeCheckpointFile / openCheckpointFile) adds
  * a magic, a schema version, the producing run's config key, the
- * save cycle, and an FNV-1a hash over the
- * payload, and refuses files whose header does not match the
- * restoring run. Writes go through a temporary file plus rename so a
- * crash mid-save never leaves a truncated checkpoint at the target
- * path.
+ * save cycle, and an FNV-1a hash over the payload, and refuses files
+ * whose magic, version or hash is wrong. The sweep journal's result
+ * files use the same container without the cycle (ContainerFormat).
+ * Writes go through a temporary file plus rename so a crash mid-save
+ * never leaves a truncated checkpoint at the target path.
  */
 
 #ifndef HRSIM_CKPT_CODEC_HH

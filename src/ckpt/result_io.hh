@@ -21,7 +21,6 @@
 #define HRSIM_CKPT_RESULT_IO_HH
 
 #include <string>
-#include <vector>
 
 #include "ckpt/codec.hh"
 #include "core/system.hh"
@@ -56,19 +55,6 @@ ckptMetricSnapshots(Io &io, Snapshots &snapshots)
                io_.u64(snap.cycle);
                ckptMetricSamples(io_, snap.metrics);
            });
-}
-
-inline void
-loadMetricSamples(CkptReader &r, std::vector<MetricSample> &samples)
-{
-    ckptMetricSamples(r, samples);
-}
-
-inline void
-loadMetricSnapshots(CkptReader &r,
-                    std::vector<MetricSnapshot> &snapshots)
-{
-    ckptMetricSnapshots(r, snapshots);
 }
 
 /** Encode every RunResult field in a fixed documented order. */

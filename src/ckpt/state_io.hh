@@ -106,15 +106,6 @@ ckptFlitFields(Io &io, F &rec)
     io.boolean(rec.poisoned);
 }
 
-inline void
-saveFlit(CkptWriter &w, const Flit &flit, const PacketTable &table)
-{
-    const FlitFields rec{table.record(flit.slot), flit.index,
-                         flit.sizeFlits, flit.dst, flit.type, flit.ttl,
-                         flit.poisoned};
-    ckptFlitFields(w, rec);
-}
-
 /**
  * Decode one flit and re-intern it into @a table by packet id
  * (between PacketTable::beginLoad() and endLoad()). Refuses a
@@ -149,10 +140,14 @@ loadFlit(CkptReader &r, PacketTable &table)
     return flit;
 }
 
+/** A flit field: saved whole, re-interned on load (loadFlit()). */
 inline void
 ckptFlit(CkptWriter &w, const Flit &flit, const PacketTable &table)
 {
-    saveFlit(w, flit, table);
+    const FlitFields rec{table.record(flit.slot), flit.index,
+                         flit.sizeFlits, flit.dst, flit.type, flit.ttl,
+                         flit.poisoned};
+    ckptFlitFields(w, rec);
 }
 
 inline void
@@ -171,25 +166,12 @@ ckptFlitFifo(Io &io, Fifo &fifo, PacketTable &table)
     });
 }
 
-template <class Fifo>
-void
-loadFlitFifo(CkptReader &r, Fifo &fifo, PacketTable &table)
-{
-    ckptFlitFifo(r, fifo, table);
-}
-
 template <class Io, class R>
 void
 ckptRng(Io &io, R &rng)
 {
     for (auto &word : rng.state())
         io.u64(word);
-}
-
-inline void
-saveRng(CkptWriter &w, const Rng &rng)
-{
-    ckptRng(w, rng);
 }
 
 } // namespace hrsim

@@ -523,11 +523,11 @@ TEST(CheckpointHostile, HugeCountsThrowBeforeAllocating)
     constexpr std::uint32_t huge = 0xFFFFFFFFu;
     const auto samples = [](CkptReader &r) {
         std::vector<MetricSample> out;
-        loadMetricSamples(r, out);
+        ckptMetricSamples(r, out);
     };
     const auto snapshots = [](CkptReader &r) {
         std::vector<MetricSnapshot> out;
-        loadMetricSnapshots(r, out);
+        ckptMetricSnapshots(r, out);
     };
     const auto result = [](CkptReader &r) { loadRunResult(r); };
 
@@ -568,7 +568,7 @@ TEST(CheckpointHostile, OutOfRangeEnumsAreRefused)
     };
     const auto samples = [](CkptReader &r) {
         std::vector<MetricSample> out;
-        loadMetricSamples(r, out);
+        ckptMetricSamples(r, out);
     };
     CkptWriter bad_kind;
     write_sample(bad_kind, 7);
@@ -579,7 +579,7 @@ TEST(CheckpointHostile, OutOfRangeEnumsAreRefused)
     write_sample(gauge, static_cast<std::uint8_t>(MetricKind::Gauge));
     CkptReader gauge_reader(gauge.data());
     std::vector<MetricSample> decoded;
-    loadMetricSamples(gauge_reader, decoded);
+    ckptMetricSamples(gauge_reader, decoded);
     ASSERT_EQ(decoded.size(), 1u);
     EXPECT_EQ(decoded[0].kind, MetricKind::Gauge);
     EXPECT_TRUE(gauge_reader.atEnd());
@@ -600,7 +600,7 @@ TEST(CheckpointHostile, OutOfRangeEnumsAreRefused)
                   "packet type");
 }
 
-/** One flit in the checkpoint encoding (see saveFlit). */
+/** One flit in the checkpoint encoding (see ckptFlitFields). */
 struct FlitRecord
 {
     std::uint64_t packet = 7;
@@ -721,7 +721,7 @@ TEST(CheckpointHostile, FifoDeeperThanCapacityIsRefused)
         PacketTable table;
         table.beginLoad(4);
         StagedFifo<Flit> fifo(3);
-        loadFlitFifo(r, fifo, table);
+        ckptFlitFifo(r, fifo, table);
         EXPECT_EQ(fifo.size(), 3u);
     };
     CkptReader full(snapshot(3).data());
@@ -781,7 +781,7 @@ constexpr PacketId markedPacket = 0x0123456789ABCDEFull;
 /**
  * Point every flit of markedPacket in the network snapshot @a bytes
  * at @a dst. Flits are encoded as u64 packet id, u32 index, u32 size,
- * then the i32 dst (see saveFlit). Returns the flits rewritten.
+ * then the i32 dst (see ckptFlitFields). Returns the flits rewritten.
  */
 int
 redirectMarkedFlits(std::vector<std::uint8_t> &bytes, std::int32_t dst)
@@ -1188,7 +1188,8 @@ TEST(CheckpointHostile, ProcessorTargetsAreRangeChecked)
     // transaction (i32 target, isRead, u32 retries, u64 issue and
     // deadline, one u64 id behind a u32 count) closes the record.
     CkptWriter rng;
-    saveRng(rng, Rng(0, 0));
+    const Rng zero(0, 0);
+    ckptRng(rng, zero);
     const std::size_t outstanding = rng.data().size();
     const std::size_t stalled_target = outstanding + 4 + 1;
     const std::size_t txn_target = saved.data().size() - 37;
